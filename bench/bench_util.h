@@ -24,7 +24,8 @@
 //
 // Serving benches (bench/serve) additionally share, via serve_args:
 //   --hosts N        fleet size (hosts monitored concurrently)
-//   --duration-ms N  fleet run length in virtual milliseconds (10 ms/tick)
+//   --duration-ms N  fleet run length in virtual milliseconds (10 ms/tick,
+//                    rounded up; a length past 2^32-1 ticks exits 2)
 //   --out P          JSON report path
 //
 // CLI error contract: an unknown value for any of these flags, a numeric
@@ -39,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -239,15 +241,19 @@ inline core::ExperimentContext prepare(const core::ExperimentConfig& cfg,
 
 /// Flags shared by the serving benches, parsed with the same error
 /// contract as the experiment flags (unknown/malformed values exit 2).
-/// Zero / nullptr fields mean "flag absent — use the bench's default".
+/// Zero / nullptr `hosts` / `out` mean "flag absent — use the bench's
+/// default".
 struct ServeArgs {
   std::size_t hosts = 0;          ///< --hosts: fleet size
-  std::uint64_t duration_ms = 0;  ///< --duration-ms: virtual run length
+  std::uint64_t duration_ms = 0;  ///< --duration-ms, or the bench default
+  std::uint32_t ticks = 0;        ///< duration_ms in 10 ms ticks, rounded up
   const char* out = nullptr;      ///< --out: JSON report path
 };
 
-inline ServeArgs serve_args(int argc, char** argv) {
+inline ServeArgs serve_args(int argc, char** argv,
+                            std::uint64_t default_duration_ms) {
   ServeArgs args;
+  args.duration_ms = default_duration_ms;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--hosts") == 0) {
       const std::uint64_t v =
@@ -269,6 +275,19 @@ inline ServeArgs serve_args(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out") == 0)
       args.out = flag_value("--out", argc, argv, i);
   }
+  const std::uint64_t ticks =
+      args.duration_ms / 10 + (args.duration_ms % 10 != 0 ? 1 : 0);
+  if (ticks > std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr,
+                 "value %llu for --duration-ms is out of range (max %llu: "
+                 "2^32-1 ticks of 10 ms)\n",
+                 static_cast<unsigned long long>(args.duration_ms),
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<std::uint32_t>::max()) *
+                     10ULL);
+    std::exit(2);
+  }
+  args.ticks = static_cast<std::uint32_t>(ticks);
   return args;
 }
 

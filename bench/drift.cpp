@@ -79,7 +79,6 @@ void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
 
 int main(int argc, char** argv) {
   const core::ExperimentConfig exp = benchutil::config_from_args(argc, argv);
-  const benchutil::ServeArgs args = benchutil::serve_args(argc, argv);
   bool quick = false;
   const char* verdict_path = nullptr;
   const char* checkpoint_dir = nullptr;
@@ -91,14 +90,13 @@ int main(int argc, char** argv) {
       checkpoint_dir =
           benchutil::flag_value("--checkpoint-dir", argc, argv, i);
   }
+  const benchutil::ServeArgs args =
+      benchutil::serve_args(argc, argv, quick ? 2000 : 3000);
   const char* out_path = args.out != nullptr ? args.out : "BENCH_drift.json";
 
   serve::FleetConfig fc;
   fc.hosts = args.hosts > 0 ? args.hosts : (quick ? 160 : 600);
-  const std::uint64_t duration_ms =
-      args.duration_ms > 0 ? args.duration_ms
-                           : static_cast<std::uint64_t>(quick ? 2000 : 3000);
-  fc.ticks = static_cast<std::uint32_t>((duration_ms + 9) / 10);
+  fc.ticks = args.ticks;
   fc.seed = exp.corpus.seed;
   fc.threads = exp.threads;
   fc.drift.enabled = true;

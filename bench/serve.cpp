@@ -82,7 +82,6 @@ void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
       "\"shards\": %llu, \"offered\": %llu, \"emitted\": %llu, "
       "\"missing\": %llu, \"admitted\": %llu, \"shed\": %llu, "
       "\"batches\": %llu, \"scored_rows\": %llu, "
-      "\"straggler_batches\": %llu, \"hedges_launched\": %llu, "
       "\"alarms_raised\": %llu, \"alarmed_hosts\": %llu, "
       "\"malware_hosts\": %llu, \"verdict_hash\": \"%016llx\"},\n",
       static_cast<unsigned long long>(c.hosts),
@@ -95,8 +94,6 @@ void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
       static_cast<unsigned long long>(c.shed),
       static_cast<unsigned long long>(c.batches),
       static_cast<unsigned long long>(c.scored_rows),
-      static_cast<unsigned long long>(c.straggler_batches),
-      static_cast<unsigned long long>(c.hedges_launched),
       static_cast<unsigned long long>(c.alarms_raised),
       static_cast<unsigned long long>(c.alarmed_hosts),
       static_cast<unsigned long long>(c.malware_hosts),
@@ -107,11 +104,8 @@ void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
       "      \"wall_ms\": %.2f,\n"
       "      \"intervals_per_sec\": %.1f,\n"
       "      \"score_rows_per_sec\": %.1f,\n"
-      "      \"hedge_wins\": %llu, \"hedge_wasted\": %llu, "
-      "\"backpressure_stalls\": %llu,\n",
+      "      \"backpressure_stalls\": %llu,\n",
       t.wall_ms, t.intervals_per_sec, score_rows_per_sec(r),
-      static_cast<unsigned long long>(t.hedge_wins),
-      static_cast<unsigned long long>(t.hedge_wasted),
       static_cast<unsigned long long>(t.backpressure_stalls));
   print_stage(f, "gen", t.gen, ",");
   print_stage(f, "queue", t.queue, ",");
@@ -143,7 +137,6 @@ void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
 
 int main(int argc, char** argv) {
   const core::ExperimentConfig exp = benchutil::config_from_args(argc, argv);
-  const benchutil::ServeArgs args = benchutil::serve_args(argc, argv);
   bool quick = false;
   const char* verdict_path = nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -151,14 +144,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--verdicts") == 0)
       verdict_path = benchutil::flag_value("--verdicts", argc, argv, i);
   }
+  const benchutil::ServeArgs args =
+      benchutil::serve_args(argc, argv, quick ? 600 : 3000);
   const char* out_path = args.out != nullptr ? args.out : "BENCH_serve.json";
 
   serve::FleetConfig fc;
   fc.hosts = args.hosts > 0 ? args.hosts : (quick ? 256 : 2000);
-  const std::uint64_t duration_ms =
-      args.duration_ms > 0 ? args.duration_ms
-                           : static_cast<std::uint64_t>(quick ? 600 : 3000);
-  fc.ticks = static_cast<std::uint32_t>((duration_ms + 9) / 10);
+  fc.ticks = args.ticks;
   fc.seed = exp.corpus.seed;
   fc.threads = exp.threads;
 
@@ -166,7 +158,7 @@ int main(int argc, char** argv) {
                "[serve] fleet: %zu hosts x %u ticks (%llu virtual ms), "
                "%zu worker threads, %s inference backend\n",
                fc.hosts, fc.ticks,
-               static_cast<unsigned long long>(duration_ms),
+               static_cast<unsigned long long>(args.duration_ms),
                support::resolve_threads(exp.threads),
                std::string(ml::backend_kind_name(ml::infer_backend_kind()))
                    .c_str());
@@ -184,9 +176,6 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig base;
   base.threads = exp.threads;
-  base.straggler_rate = 0.05;
-  base.straggler_reps = 2;
-  base.hedge = true;
 
   serve::ServeConfig batched = base;
   batched.batched = true;

@@ -34,8 +34,8 @@
 #      clang -Wthread-safety build run when those tools are installed and
 #      skip loudly when not (the default container is gcc-only).
 #   8. Serving leg (5): bench/serve --quick runs under TSan (the
-#      controller/worker/collector pipeline is the most lock-dense code in
-#      the tree), then the Release tree proves the determinism contract —
+#      controller/worker pipeline is the most lock-dense code in the
+#      tree), then the Release tree proves the determinism contract —
 #      1-thread and 4-thread verdict streams byte-identical, per-run
 #      counters JSON-identical, and batched scoring at least as fast as
 #      unbatched.
@@ -295,8 +295,9 @@ cmake --build build-ci-tsan -j "${JOBS}"
   ctest --output-on-failure -j "${JOBS}")
 
 echo "=== [5] serving pipeline: TSan quick run + determinism contract ==="
-# The sharded controller/worker/collector pipeline under TSan: every lock,
-# queue hand-off, and hedge-store access race-checked on a small fleet.
+# The sharded controller/worker pipeline under TSan: every lock, queue
+# hand-off, and worker write into the shared verdict and stage-time
+# buffers race-checked on a small fleet.
 TSAN_OPTIONS="halt_on_error=1" \
   ./build-ci-tsan/bench/serve --quick --hosts 96 --duration-ms 300 \
     --threads 4 --out build-ci-tsan/BENCH_serve.json

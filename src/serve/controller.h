@@ -15,31 +15,28 @@
 // Pipeline stages and roles:
 //
 //   controller (1 thread)  — per tick: token-bucket admission (explicit
-//     shed accounting), drop simulation, batch assembly, straggler/hedge
-//     decisions; pushes batches to per-worker BoundedQueues (backpressure:
-//     a full queue stalls the controller, counted, never dropped).
+//     shed accounting), drop simulation, batch assembly; pushes batches to
+//     per-worker BoundedQueues (backpressure: a full queue stalls the
+//     controller, counted, never dropped).
 //   workers (N threads)    — own a fixed partition of shards (shard
 //     s -> worker s mod N): score the batch (one batched call, or
 //     row-by-row in the unbatched A/B mode), step the shard's per-host
-//     EWMA/alarm/staleness automata in tick order, emit a result chunk.
-//   collector (1 thread)   — drains result chunks: latency accounting
-//     (P^2 p50/p95/p99 per stage — serve/quantile.h) and the verdict
-//     stream.
+//     EWMA/alarm/staleness automata in tick order, and write each verdict
+//     straight into its (tick, host) slot of the preallocated stream and
+//     the batch's stage times into its (tick, shard) slot. Every slot has
+//     one owning worker, so the join is the only synchronisation.
 //
-// Tail-latency machinery: per-(tick, shard) straggler injection (a seeded
-// decision slows the owning worker by re-scoring the batch a configured
-// number of extra times) and hedging — the controller launches a duplicate
-// score-only task on the *next* worker for batches it marked straggling;
-// whichever result is ready first is used. Scores are bit-identical either
-// way, so hedging is invisible to the verdict stream.
+// After the join, run_fleet folds the stage times into the P^2 latency
+// estimators (serve/quantile.h) in (tick, shard) order and sums each
+// worker's batch/row/alarm tallies. The stream is already in canonical
+// (tick, host) order; nothing re-sorts it.
 //
 // Determinism contract (enforced by tests and the ci.sh serve leg): the
 // verdict stream and every field of ServeCounters are bit-identical across
-// worker counts, batched vs unbatched scoring, and hedging on or off,
-// under a fixed seed. Everything decided on the virtual tick clock —
-// admission, shed, drops, straggler marks, hedge launches, scores, alarm
-// transitions — is deterministic; everything *measured* (stage latencies,
-// hedge win/waste, backpressure stalls, throughput) lives in ServeTiming
+// worker counts and batched vs unbatched scoring, under a fixed seed.
+// Everything decided on the virtual tick clock — admission, shed, drops,
+// scores, alarm transitions — is deterministic; everything *measured*
+// (stage latencies, backpressure stalls, throughput) lives in ServeTiming
 // and is explicitly excluded from the contract.
 #pragma once
 
@@ -55,8 +52,8 @@ namespace hmd::serve {
 
 struct ServeConfig {
   /// Worker threads (scoring/stepping); 0 = auto via resolve_threads().
-  /// Clamped to the shard count. The controller and collector threads are
-  /// additional but never touch detector state or scores.
+  /// Clamped to the shard count. The controller thread is additional but
+  /// never touches detector state or scores.
   std::size_t threads = 1;
   /// Host shards; 0 = auto: max(1, hosts / 32). The auto value depends
   /// only on the fleet, never on the worker count — shard boundaries are
@@ -74,13 +71,6 @@ struct ServeConfig {
   std::uint64_t admit_per_tick = 0;
   /// Bucket (burst) capacity; 0 means admit_per_tick.
   std::uint64_t admit_burst = 0;
-  /// Per-(tick, shard) probability the owning worker straggles (seeded,
-  /// deterministic); the slowdown is `straggler_reps` wasted re-scores.
-  double straggler_rate = 0.0;
-  std::uint32_t straggler_reps = 3;
-  /// Launch a duplicate score-only task on the next worker for batches
-  /// marked straggling. Changes latency, never results.
-  bool hedge = true;
   /// Keep the full verdict stream in the report (hosts × ticks entries).
   /// The verdict hash is computed either way.
   bool record_verdicts = true;
@@ -115,8 +105,8 @@ struct ServeVerdict {
   bool stale = false;
 };
 
-/// Deterministic domain: bit-identical across worker counts, batched vs
-/// unbatched, hedging on/off (fixed seed). The ci.sh serve leg diffs these
+/// Deterministic domain: bit-identical across worker counts and batched vs
+/// unbatched scoring (fixed seed). The ci.sh serve leg diffs these
 /// across thread counts byte for byte.
 struct ServeCounters {
   std::uint64_t hosts = 0;
@@ -128,9 +118,7 @@ struct ServeCounters {
   std::uint64_t admitted = 0;   ///< emitted samples the bucket admitted
   std::uint64_t shed = 0;       ///< emitted samples rejected by admission
   std::uint64_t batches = 0;    ///< one per (tick, shard)
-  std::uint64_t scored_rows = 0;        ///< == admitted
-  std::uint64_t straggler_batches = 0;  ///< seeded straggler marks
-  std::uint64_t hedges_launched = 0;    ///< duplicate tasks dispatched
+  std::uint64_t scored_rows = 0;     ///< == admitted
   std::uint64_t alarms_raised = 0;   ///< false->true alarm transitions
   std::uint64_t alarmed_hosts = 0;   ///< hosts whose alarm ever raised
   std::uint64_t malware_hosts = 0;   ///< ground truth from the fleet
@@ -147,7 +135,7 @@ struct ServeCounters {
   std::uint64_t retrain_base_rows = 0;    ///< base split rows in the refit
   std::uint64_t retrain_window_rows = 0;  ///< harvested rows in the refit
   std::uint64_t final_model_epoch = 0;    ///< epoch serving the last tick
-  std::uint64_t verdict_hash = 0;    ///< FNV-1a over the sorted stream
+  std::uint64_t verdict_hash = 0;    ///< FNV-1a over the (tick, host) stream
 };
 
 /// Measured domain: wall-clock throughput and per-stage latency. Varies
@@ -158,11 +146,9 @@ struct ServeTiming {
   double intervals_per_sec = 0.0;  ///< offered / wall seconds
   LatencyStats gen;    ///< controller: emit + admission + batch assembly
   LatencyStats queue;  ///< task wait in the worker queue
-  LatencyStats score;  ///< batch scoring (incl. injected straggler work)
+  LatencyStats score;  ///< batch scoring
   LatencyStats step;   ///< per-host state stepping + verdict emit
   LatencyStats e2e;    ///< batch assembly start -> verdicts emitted
-  std::uint64_t hedge_wins = 0;    ///< hedge result arrived first
-  std::uint64_t hedge_wasted = 0;  ///< hedges_launched - hedge_wins
   std::uint64_t backpressure_stalls = 0;  ///< controller blocked on a queue
   double retrain_ms = 0.0;    ///< background retrain wall time
   double swap_wait_ms = 0.0;  ///< controller blocked at the swap tick
@@ -172,7 +158,7 @@ struct ServeTiming {
 struct ServeReport {
   ServeCounters counters;
   ServeTiming timing;
-  /// Sorted by (tick, host); empty unless ServeConfig::record_verdicts.
+  /// In (tick, host) order; empty unless ServeConfig::record_verdicts.
   std::vector<ServeVerdict> verdicts;
 };
 

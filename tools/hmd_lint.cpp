@@ -120,10 +120,9 @@ void print_help() {
       "  --max-p99-us N        serving tail-latency budget: a fixed-seed\n"
       "                        128-host fleet runs through the src/serve\n"
       "                        pipeline under mild overload (admission at\n"
-      "                        90% of offered load, seeded stragglers with\n"
-      "                        hedging); an end-to-end per-batch p99 above\n"
-      "                        N microseconds is a hard failure\n"
-      "                        (0 disables, the default)\n"
+      "                        90% of offered load); an end-to-end\n"
+      "                        per-batch p99 above N microseconds is a\n"
+      "                        hard failure (0 disables, the default)\n"
       "  --max-shed-rate R     serving shed budget, same scenario: the\n"
       "                        fraction of emitted samples rejected by\n"
       "                        token-bucket admission is deterministic for\n"
@@ -297,12 +296,10 @@ std::size_t lint_serving(const LintArgs& args) {
   sc.threads = args.config.threads;
   sc.record_verdicts = false;
   // Mild overload: steady-state admission at 90% of the offered load
-  // (bursting to one full tick), plus seeded stragglers with hedging —
-  // the scenario the budgets are meant to police.
+  // (bursting to one full tick) — the scenario the budgets are meant to
+  // police.
   sc.admit_per_tick = (fc.hosts * 9) / 10;
   sc.admit_burst = fc.hosts;
-  sc.straggler_rate = 0.05;
-  sc.straggler_reps = 2;
   const serve::ServeReport r = serve::run_fleet(fleet, sc);
 
   const double p99 = r.timing.e2e.p99();
