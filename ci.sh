@@ -46,6 +46,9 @@
 #      4-thread adaptive verdict streams byte-identical) and that a
 #      checkpointed retrain killed mid-capture resumes to a byte-identical
 #      verdict stream.
+#  10. Benchmark leg (7): the 19 self-tests of perfbench/run.py's reporting
+#      rules (percentiles, metric declarations, result line, correctness
+#      checks, build-tree placement) must pass. They need no build.
 #
 # Each build uses its own tree; pass -j via CMAKE_BUILD_PARALLEL_LEVEL
 # or JOBS (default: all cores).
@@ -394,5 +397,13 @@ fi
   diff drift-verdicts-t4.txt drift-verdicts-ckpt.txt
   echo "drift OK: killed checkpointed retrain resumed byte-identically"
 )
+
+echo "=== [7] perfbench: reporting-rule self-tests ==="
+# -B keeps the run from writing bytecode into the benchmark's directory.
+if command -v python3 >/dev/null 2>&1; then
+  python3 -B perfbench/test_run.py
+else
+  echo "python3 not installed; skipping perfbench self-tests"
+fi
 
 echo "=== CI OK ==="

@@ -1,9 +1,11 @@
 #include "analysis/srclint.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <locale>
 #include <regex>
 #include <sstream>
 
@@ -514,6 +516,20 @@ SrclintReport srclint_scan_tree(const std::string& root,
   // Directory iteration order is unspecified; sorting keeps the report (and
   // the parallel_map work assignment) identical across runs and platforms.
   std::sort(report.files.begin(), report.files.end());
+
+  // std::regex narrows characters through std::ctype<char>, whose
+  // libstdc++ cache fills lazily, one entry per character, so concurrent
+  // scans race on each character's first use. Narrowing the whole
+  // character range once fills the cache here; the workers then only read
+  // it.
+  {
+    std::array<char, 256> chars{};
+    for (std::size_t c = 0; c < chars.size(); ++c)
+      chars[c] = static_cast<char>(c);
+    std::array<char, 256> narrowed{};
+    std::use_facet<std::ctype<char>>(std::locale()).narrow(
+        chars.data(), chars.data() + chars.size(), '\0', narrowed.data());
+  }
 
   support::ThreadPool pool(threads);
   const std::vector<SrclintFileResult> per_file =

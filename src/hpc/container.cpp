@@ -14,7 +14,8 @@ RunTrace Container::run(const sim::AppProfile& app, std::uint32_t run_index,
     throw RunCrashError("injected run crash: app=" + app.name +
                         " run_index=" + std::to_string(run_index));
 
-  // Fresh container: the machine state is fully destroyed and rebuilt.
+  // Fresh container: start_run fully resets the machine, so no state of
+  // the previous run survives into this one.
   machine_.start_run(app, run_index);
   pmu_.program(events);
 
@@ -26,7 +27,6 @@ RunTrace Container::run(const sim::AppProfile& app, std::uint32_t run_index,
     pmu_.observe(counts);
     trace.samples.push_back(pmu_.sample_and_clear());
   }
-  machine_.reset();
   trace.truncated = trace.samples.size() < app.intervals;
   if (faults_ != nullptr)
     faults_->perturb(trace, app.seed, run_index, pmu_.saturation_value());

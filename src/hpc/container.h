@@ -4,7 +4,9 @@
 // it after each run "to ensure that there is no contamination in collected
 // data due to the previous run". Container mirrors that: each run() starts
 // from a fully reset Machine (cold caches, cold predictor, fresh address
-// layout) and leaves no state behind for the next run.
+// layout). The machine keeps the last run's state until the next run()
+// resets it, but it is private to the Container, so no caller can observe
+// that state or carry it into another run.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "sim/branch_predictor.h"
 
+#include <algorithm>
+
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -27,84 +29,74 @@ BranchPredictor::BranchPredictor(BranchPredictorConfig cfg)
   chooser_.assign(entries, 2);  // weakly favour gshare
 }
 
-std::size_t BranchPredictor::gshare_index(std::uint64_t pc) const {
-  return static_cast<std::size_t>((mix64(pc) ^ history_) & mask_);
+namespace {
+/// Saturating 2-bit counter step toward the outcome.
+void bump(std::uint8_t& ctr, bool taken) {
+  if (taken && ctr < 3) ++ctr;
+  if (!taken && ctr > 0) --ctr;
 }
-
-std::size_t BranchPredictor::pc_index(std::uint64_t pc) const {
-  return static_cast<std::size_t>(mix64(pc) & mask_);
-}
-
-std::size_t BranchPredictor::local_index(std::uint64_t pc) const {
-  return static_cast<std::size_t>(
-      (local_history_[pc_index(pc)] ^ mix64(pc * 3)) & mask_);
-}
-
-bool BranchPredictor::predict_gshare(std::uint64_t pc) const {
-  return gshare_counters_[gshare_index(pc)] >= 2;
-}
-
-bool BranchPredictor::predict_bimodal(std::uint64_t pc) const {
-  return bimodal_counters_[pc_index(pc)] >= 2;
-}
-
-bool BranchPredictor::predict_local(std::uint64_t pc) const {
-  return local_counters_[local_index(pc)] >= 2;
-}
-
-void BranchPredictor::update_tables(std::uint64_t pc, bool taken) {
-  auto bump = [taken](std::uint8_t& ctr) {
-    if (taken && ctr < 3) ++ctr;
-    if (!taken && ctr > 0) --ctr;
-  };
-  bump(gshare_counters_[gshare_index(pc)]);
-  bump(bimodal_counters_[pc_index(pc)]);
-  bump(local_counters_[local_index(pc)]);
-  std::uint64_t& lh = local_history_[pc_index(pc)];
-  lh = ((lh << 1) | (taken ? 1u : 0u)) & mask_;
-  history_ = ((history_ << 1) | (taken ? 1u : 0u)) & mask_;
-}
+}  // namespace
 
 bool BranchPredictor::execute(std::uint64_t pc, bool taken) {
   ++branches_;
   last_btb_hit_ = btb_.access(pc);
 
+  // Each kind reads and trains only its own tables; the others would
+  // never be consulted.
+  const std::uint64_t pc_hash = mix64(pc);
+  const std::size_t pc_slot = static_cast<std::size_t>(pc_hash & mask_);
+  const std::uint64_t outcome = taken ? 1u : 0u;
   bool predicted_taken = false;
   switch (cfg_.kind) {
-    case BranchPredictorKind::kGshare:
-      predicted_taken = predict_gshare(pc);
+    case BranchPredictorKind::kGshare: {
+      std::uint8_t& ctr = gshare_counters_[(pc_hash ^ history_) & mask_];
+      predicted_taken = ctr >= 2;
+      bump(ctr, taken);
       break;
-    case BranchPredictorKind::kBimodal:
-      predicted_taken = predict_bimodal(pc);
+    }
+    case BranchPredictorKind::kBimodal: {
+      std::uint8_t& ctr = bimodal_counters_[pc_slot];
+      predicted_taken = ctr >= 2;
+      bump(ctr, taken);
       break;
-    case BranchPredictorKind::kLocalHistory:
-      predicted_taken = predict_local(pc);
+    }
+    case BranchPredictorKind::kLocalHistory: {
+      std::uint64_t& lh = local_history_[pc_slot];
+      std::uint8_t& ctr = local_counters_[(lh ^ mix64(pc * 3)) & mask_];
+      predicted_taken = ctr >= 2;
+      bump(ctr, taken);
+      lh = ((lh << 1) | outcome) & mask_;
       break;
+    }
     case BranchPredictorKind::kTournament: {
-      const bool g = predict_gshare(pc);
-      const bool b = predict_bimodal(pc);
-      predicted_taken = chooser_[pc_index(pc)] >= 2 ? g : b;
+      std::uint8_t& g_ctr = gshare_counters_[(pc_hash ^ history_) & mask_];
+      std::uint8_t& b_ctr = bimodal_counters_[pc_slot];
+      const bool g = g_ctr >= 2;
+      const bool b = b_ctr >= 2;
+      std::uint8_t& ch = chooser_[pc_slot];
+      predicted_taken = ch >= 2 ? g : b;
       // Train the chooser toward whichever component was right.
       if (g != b) {
-        std::uint8_t& ch = chooser_[pc_index(pc)];
         if (g == taken && ch < 3) ++ch;
         if (b == taken && ch > 0) --ch;
       }
+      bump(g_ctr, taken);
+      bump(b_ctr, taken);
       break;
     }
   }
+  history_ = ((history_ << 1) | outcome) & mask_;
   const bool correct = predicted_taken == taken;
   if (!correct) ++direction_misses_;
-  update_tables(pc, taken);
   return correct;
 }
 
 void BranchPredictor::reset() {
-  gshare_counters_.assign(gshare_counters_.size(), 1);
-  bimodal_counters_.assign(bimodal_counters_.size(), 1);
-  local_history_.assign(local_history_.size(), 0);
-  local_counters_.assign(local_counters_.size(), 1);
-  chooser_.assign(chooser_.size(), 2);
+  std::fill(gshare_counters_.begin(), gshare_counters_.end(), 1);
+  std::fill(bimodal_counters_.begin(), bimodal_counters_.end(), 1);
+  std::fill(local_history_.begin(), local_history_.end(), 0);
+  std::fill(local_counters_.begin(), local_counters_.end(), 1);
+  std::fill(chooser_.begin(), chooser_.end(), 2);
   history_ = 0;
   btb_.reset();
   last_btb_hit_ = false;

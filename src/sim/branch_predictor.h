@@ -57,15 +57,6 @@ class BranchPredictor {
   void reset();
 
  private:
-  bool predict_gshare(std::uint64_t pc) const;
-  bool predict_bimodal(std::uint64_t pc) const;
-  bool predict_local(std::uint64_t pc) const;
-  void update_tables(std::uint64_t pc, bool taken);
-
-  std::size_t gshare_index(std::uint64_t pc) const;
-  std::size_t pc_index(std::uint64_t pc) const;
-  std::size_t local_index(std::uint64_t pc) const;
-
   BranchPredictorConfig cfg_;
   std::uint64_t mask_ = 0;
   std::vector<std::uint8_t> gshare_counters_;

@@ -9,8 +9,8 @@
 //   kLru     — true least-recently-used
 //   kFifo    — evict the oldest-inserted line (no update on hit)
 //   kRandom  — uniform random victim (deterministic internal stream)
-//   kTreePlru— tree pseudo-LRU (power-of-two associativity; falls back to
-//              true LRU for other way counts)
+//   kTreePlru— tree pseudo-LRU (power-of-two associativity up to 32 ways;
+//              falls back to true LRU for other way counts)
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,10 @@ class Cache {
   /// Drop contents but keep statistics (e.g. TLB flush on context switch).
   void flush();
 
-  /// Invalidate a random `fraction` of lines — models pollution by other
-  /// processes sharing the cache across a context switch. `mix` is a
-  /// caller-supplied random word (kept raw to avoid an Rng dependency).
+  /// Invalidate a random `fraction` (finite, in [0, 1]) of lines — models
+  /// pollution by other processes sharing the cache across a context
+  /// switch. `mix` is a caller-supplied random word (kept raw to avoid an
+  /// Rng dependency).
   void pollute(double fraction, std::uint64_t mix);
 
   std::uint64_t accesses() const { return accesses_; }
@@ -72,29 +73,33 @@ class Cache {
   const CacheGeometry& geometry() const { return geo_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t stamp = 0;  ///< LRU recency or FIFO insertion order
-    bool valid = false;
-  };
+  /// Tag of an invalid way. The constructor guarantees no address maps to
+  /// it, so one compare per way tests validity and tag together.
+  static constexpr std::uint64_t kInvalidTag = ~0ULL;
 
-  std::size_t set_index(std::uint64_t address) const {
-    return static_cast<std::size_t>((address / geo_.line_bytes) &
-                                    (geo_.sets - 1));
-  }
-  std::uint64_t tag_of(std::uint64_t address) const {
-    return (address / geo_.line_bytes) / geo_.sets;
-  }
-
-  /// Victim way within [base, base+ways) per the configured policy.
+  /// Look up (and on a miss allocate) `address` under the configured
+  /// policy, or under `P`. Returns true on hit; counts nothing.
+  bool lookup(std::uint64_t address);
+  template <ReplacementPolicy P>
+  bool lookup(std::uint64_t address);
+  /// Victim way within the set at `base` under `P`: the first invalid way,
+  /// else the policy's choice.
+  template <ReplacementPolicy P>
   std::size_t pick_victim(std::size_t set, std::size_t base);
+  template <ReplacementPolicy P>
   void touch(std::size_t set, std::size_t base, std::size_t way,
              bool is_insert);
 
   CacheGeometry geo_;
-  std::vector<Line> lines_;           ///< sets × ways, row-major by set
-  std::vector<std::uint32_t> plru_;   ///< per-set tree bits (kTreePlru)
-  bool plru_applicable_ = false;
+  /// The policy actually run: tree-PLRU over a non-power-of-two way count
+  /// runs as true LRU.
+  ReplacementPolicy mode_ = ReplacementPolicy::kLru;
+  unsigned line_shift_ = 0;   ///< log2(line_bytes)
+  unsigned tag_shift_ = 0;    ///< log2(line_bytes * sets)
+  std::uint64_t set_mask_ = 0;
+  std::vector<std::uint64_t> tags_;    ///< sets × ways, row-major by set
+  std::vector<std::uint64_t> stamps_;  ///< LRU recency or FIFO insert order
+  std::vector<std::uint32_t> plru_;    ///< per-set tree bits (kTreePlru)
   std::uint64_t tick_ = 0;
   std::uint64_t rand_state_ = 0x9E3779B97F4A7C15ULL;
   std::uint64_t accesses_ = 0;

@@ -14,6 +14,22 @@ constexpr std::uint64_t kUserDataBase = 0x0000'7f00'0000ULL;
 constexpr std::uint64_t kKernelCodeBase = 0xffff'8000'0000ULL;
 constexpr std::uint64_t kKernelDataBase = 0xffff'c000'0000ULL;
 
+/// The events one data access counts, by direction.
+struct AccessEvents {
+  Event dtlb, dtlb_miss, l1d, l1d_miss, llc, llc_miss, node, node_miss;
+};
+constexpr AccessEvents kLoadEvents{
+    Event::kDtlbLoads, Event::kDtlbLoadMisses,      Event::kL1DcacheLoads,
+    Event::kL1DcacheLoadMisses, Event::kLlcLoads,   Event::kLlcLoadMisses,
+    Event::kNodeLoads, Event::kNodeLoadMisses};
+constexpr AccessEvents kStoreEvents{
+    Event::kDtlbStores, Event::kDtlbStoreMisses,     Event::kL1DcacheStores,
+    Event::kL1DcacheStoreMisses, Event::kLlcStores,  Event::kLlcStoreMisses,
+    Event::kNodeStores, Event::kNodeStoreMisses};
+
+// No page index reaches this (a phase has at most 2^32 - 1 code pages).
+constexpr std::uint32_t kNoCodePage = ~0u;
+
 // Kernel bursts behave like a fixed small kernel working set.
 constexpr std::uint32_t kKernelCodePages = 20;
 constexpr std::uint32_t kKernelBlocksPerPage = 12;
@@ -45,6 +61,7 @@ void Machine::start_run(const AppProfile& app, std::uint32_t run_index) {
   rng_.reseed(mix64(app.seed * 0x9E37ULL + run_index));
   user_pc_ = {};
   kernel_pc_ = {};
+  code_page_ = kNoCodePage;  // the layout changed: rescatter on next use
   seq_ptr_ = 0;
 }
 
@@ -79,103 +96,95 @@ const PhaseSpec& Machine::phase_for_interval(std::uint32_t interval) const {
   return app_->phases.back();
 }
 
+Machine::Footprint Machine::footprint_of(const PhaseSpec& ph) {
+  Footprint fp;
+  fp.code_pages = std::max<std::uint32_t>(ph.code_pages, 1);
+  fp.blocks = std::max<std::uint32_t>(ph.blocks_per_page, 1);
+  const std::uint32_t pages = std::max<std::uint32_t>(ph.data_pages, 1);
+  fp.hot_pages = std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(ph.hot_fraction * pages)));
+  fp.cold_pages = std::max<std::uint32_t>(pages - fp.hot_pages, 1);
+  fp.hot_bytes = static_cast<std::uint64_t>(fp.hot_pages) * kPageBytes;
+  fp.stride = std::max<std::uint32_t>(ph.stride_bytes, 1);
+  fp.seq_load_prob = ph.hot_access_prob * ph.sequential_prob;
+  return fp;
+}
+
 std::uint64_t Machine::code_address(bool kernel, const CodePoint& at,
-                                    std::uint32_t instr_slot) const {
+                                    std::uint32_t instr_slot) {
   const std::uint64_t base = kernel ? kKernelCodeBase : kUserCodeBase;
   // Scatter pages across the address space per run (ASLR-like) so that the
   // cache-set mapping differs between runs/applications.
-  const std::uint64_t page_id =
-      kernel ? at.page
-             : (mix64(layout_seed_ ^ (0xC0DEULL + at.page)) & 0x3FF);
+  if (!kernel && at.page != code_page_) {
+    code_page_ = at.page;
+    code_page_id_ = mix64(layout_seed_ ^ (0xC0DEULL + code_page_)) & 0x3FF;
+  }
+  const std::uint64_t page_id = kernel ? at.page : code_page_id_;
   const std::uint64_t block_bytes = 64;  // one basic block ~ one line
   return base + page_id * kPageBytes + at.block * block_bytes +
          (instr_slot % 16) * 4;
 }
 
 std::uint64_t Machine::data_address(bool kernel, const PhaseSpec& ph,
-                                    bool is_store, Rng& rng) {
+                                    bool is_store) {
   if (kernel) {
-    const std::uint64_t page = rng.below(kKernelDataPages);
-    return kKernelDataBase + page * kPageBytes + (rng.below(64) * 64);
+    const std::uint64_t page = rng_.below(kKernelDataPages);
+    return kKernelDataBase + page * kPageBytes + (rng_.below(64) * 64);
   }
-  const std::uint32_t pages = std::max<std::uint32_t>(ph.data_pages, 1);
-  const auto hot_pages = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::lround(ph.hot_fraction * pages)));
-
-  const bool scatter_store = is_store && rng.chance(ph.store_scatter);
+  const bool scatter_store = is_store && rng_.chance(ph.store_scatter);
   std::uint64_t page;
-  bool sequential = false;
-  if (!scatter_store && rng.chance(ph.hot_access_prob)) {
-    if (rng.chance(ph.sequential_prob)) {
-      // Streaming pointer walks the hot region with the phase stride.
-      const std::uint64_t hot_bytes =
-          static_cast<std::uint64_t>(hot_pages) * kPageBytes;
-      seq_ptr_ = (seq_ptr_ + std::max<std::uint32_t>(ph.stride_bytes, 1)) %
-                 hot_bytes;
-      sequential = true;
+  if (!scatter_store && rng_.chance(ph.hot_access_prob)) {
+    if (rng_.chance(ph.sequential_prob)) {
+      // Streaming pointer walks the hot region with the phase stride. The
+      // pointer only leaves [0, hot_bytes) on a wrap or a phase change.
+      seq_ptr_ += fp_.stride;
+      if (seq_ptr_ >= fp_.hot_bytes) seq_ptr_ %= fp_.hot_bytes;
       page = seq_ptr_ / kPageBytes;
       const std::uint64_t page_id = mix64(layout_seed_ ^ (0xDA7AULL + page));
       return kUserDataBase + (page_id & 0xFFF) * kPageBytes +
              (seq_ptr_ % kPageBytes);
     }
-    page = rng.below(hot_pages);
+    page = rng_.below(fp_.hot_pages);
   } else {
-    page = hot_pages + rng.below(std::max<std::uint32_t>(pages - hot_pages, 1));
+    page = fp_.hot_pages + rng_.below(fp_.cold_pages);
   }
-  (void)sequential;
   const std::uint64_t page_id = mix64(layout_seed_ ^ (0xDA7AULL + page));
-  return kUserDataBase + (page_id & 0xFFF) * kPageBytes + rng.below(64) * 64;
+  return kUserDataBase + (page_id & 0xFFF) * kPageBytes + rng_.below(64) * 64;
 }
 
 void Machine::memory_access(std::uint64_t addr, bool is_store, bool sequential,
-                            const PhaseSpec& ph, Rng& rng, EventCounts& out) {
+                            const PhaseSpec& ph, EventCounts& out) {
+  // Counting is branch-free where the outcome is data-dependent; adding a
+  // 0.0 penalty leaves the (non-negative) accumulators unchanged.
+  const AccessEvents& ev = is_store ? kStoreEvents : kLoadEvents;
+
   // dTLB.
   const bool dtlb_hit = dtlb_.access(addr & ~(kPageBytes - 1));
-  if (is_store) {
-    ++out[Event::kDtlbStores];
-    if (!dtlb_hit) ++out[Event::kDtlbStoreMisses];
-  } else {
-    ++out[Event::kDtlbLoads];
-    if (!dtlb_hit) ++out[Event::kDtlbLoadMisses];
-  }
-  if (!dtlb_hit) extra_backend_ += cfg_.tlb_miss_penalty;
+  ++out[ev.dtlb];
+  out[ev.dtlb_miss] += !dtlb_hit;
+  extra_backend_ += dtlb_hit ? 0.0 : cfg_.tlb_miss_penalty;
 
   // L1D.
   const bool l1_hit = l1d_.access(addr);
-  if (is_store) {
-    ++out[Event::kL1DcacheStores];
-    if (!l1_hit) ++out[Event::kL1DcacheStoreMisses];
-  } else {
-    ++out[Event::kL1DcacheLoads];
-    if (!l1_hit) ++out[Event::kL1DcacheLoadMisses];
-  }
+  ++out[ev.l1d];
+  out[ev.l1d_miss] += !l1_hit;
   if (l1_hit) return;
   extra_backend_ += cfg_.l1d_miss_penalty;
 
   // LLC.
   const bool llc_hit = llc_.access(addr);
   ++out[Event::kCacheReferences];
-  if (is_store) {
-    ++out[Event::kLlcStores];
-    if (!llc_hit) ++out[Event::kLlcStoreMisses];
-  } else {
-    ++out[Event::kLlcLoads];
-    if (!llc_hit) ++out[Event::kLlcLoadMisses];
-  }
+  ++out[ev.llc];
+  out[ev.llc_miss] += !llc_hit;
 
   if (!llc_hit) {
     ++out[Event::kCacheMisses];
     extra_backend_ += cfg_.llc_miss_penalty;
     // Memory reaches a NUMA node; remote with the phase's probability.
-    const bool remote = rng.chance(ph.numa_remote_frac);
-    if (is_store) {
-      ++out[Event::kNodeStores];
-      if (remote) ++out[Event::kNodeStoreMisses];
-    } else {
-      ++out[Event::kNodeLoads];
-      if (remote) ++out[Event::kNodeLoadMisses];
-    }
-    if (remote) extra_backend_ += cfg_.remote_node_penalty;
+    const bool remote = rng_.chance(ph.numa_remote_frac);
+    ++out[ev.node];
+    out[ev.node_miss] += remote;
+    extra_backend_ += remote ? cfg_.remote_node_penalty : 0.0;
   }
 
   // Next-line prefetch on a sequential L1D miss.
@@ -187,21 +196,18 @@ void Machine::memory_access(std::uint64_t addr, bool is_store, bool sequential,
     if (!llc_.probe(next)) {
       ++out[Event::kLlcPrefetchMisses];
       ++out[Event::kNodePrefetches];
-      if (rng.chance(ph.numa_remote_frac)) ++out[Event::kNodePrefetchMisses];
+      if (rng_.chance(ph.numa_remote_frac)) ++out[Event::kNodePrefetchMisses];
       llc_.fill(next);
     }
   }
 }
 
-void Machine::execute_instruction(const PhaseSpec& ph, bool kernel, Rng& rng,
+void Machine::execute_instruction(const PhaseSpec& ph, bool kernel,
                                   EventCounts& out) {
   ++out[Event::kInstructions];
   CodePoint& pc = kernel ? kernel_pc_ : user_pc_;
-  const std::uint32_t pages = kernel ? kKernelCodePages
-                                     : std::max<std::uint32_t>(ph.code_pages, 1);
-  const std::uint32_t blocks =
-      kernel ? kKernelBlocksPerPage
-             : std::max<std::uint32_t>(ph.blocks_per_page, 1);
+  const std::uint32_t pages = kernel ? kKernelCodePages : fp_.code_pages;
+  const std::uint32_t blocks = kernel ? kKernelBlocksPerPage : fp_.blocks;
 
   // Instruction fetch: iTLB + L1I at 16-byte (4-instruction) fetch-group
   // granularity — a fetch happens on control-flow redirects and every
@@ -210,10 +216,9 @@ void Machine::execute_instruction(const PhaseSpec& ph, bool kernel, Rng& rng,
   if (need_fetch_ || fetch_slot_ % 4 == 0) {
     need_fetch_ = false;
     ++out[Event::kItlbLoads];
-    if (!itlb_.access(fetch & ~(kPageBytes - 1))) {
-      ++out[Event::kItlbLoadMisses];
-      extra_frontend_ += cfg_.tlb_miss_penalty;
-    }
+    const bool itlb_hit = itlb_.access(fetch & ~(kPageBytes - 1));
+    out[Event::kItlbLoadMisses] += !itlb_hit;
+    extra_frontend_ += itlb_hit ? 0.0 : cfg_.tlb_miss_penalty;
     ++out[Event::kL1IcacheLoads];
     if (!l1i_.access(fetch)) {
       ++out[Event::kL1IcacheLoadMisses];
@@ -228,7 +233,7 @@ void Machine::execute_instruction(const PhaseSpec& ph, bool kernel, Rng& rng,
   }
   ++fetch_slot_;
 
-  const double r = rng.uniform();
+  const double r = rng_.uniform();
   if (r < ph.frac_branch) {
     // A branch: resolve the site's bias deterministically from its address
     // so gshare can learn stable sites, then add per-dynamic noise.
@@ -239,22 +244,20 @@ void Machine::execute_instruction(const PhaseSpec& ph, bool kernel, Rng& rng,
     const double site_bias =
         0.5 + (ph.branch_bias - 0.5) *
                   ((h & 1) ? 1.0 : -1.0);  // taken- or not-taken-biased site
-    bool taken = rng.chance(site_bias);
-    if (rng.chance(ph.branch_noise)) taken = !taken;
+    bool taken = rng_.chance(site_bias);
+    if (rng_.chance(ph.branch_noise)) taken = !taken;
 
     const bool dir_ok = bp_.execute(site, taken);
-    if (!bp_.last_btb_hit()) {
-      ++out[Event::kBranchLoadMisses];
-      extra_frontend_ += cfg_.btb_miss_penalty;
-    }
-    if (!dir_ok) {
-      ++out[Event::kBranchMisses];
-      extra_frontend_ += cfg_.branch_miss_penalty;
-    }
+    const bool btb_hit = bp_.last_btb_hit();
+    out[Event::kBranchLoadMisses] += !btb_hit;
+    extra_frontend_ += btb_hit ? 0.0 : cfg_.btb_miss_penalty;
+    out[Event::kBranchMisses] += !dir_ok;
+    extra_frontend_ += dir_ok ? 0.0 : cfg_.branch_miss_penalty;
 
     if (taken) {
-      if (rng.chance(ph.code_jump_spread)) pc.page = static_cast<std::uint32_t>(rng.below(pages));
-      pc.block = static_cast<std::uint32_t>(rng.below(blocks));
+      if (rng_.chance(ph.code_jump_spread))
+        pc.page = static_cast<std::uint32_t>(rng_.below(pages));
+      pc.block = static_cast<std::uint32_t>(rng_.below(blocks));
       need_fetch_ = true;  // redirect: next instruction refetches
     } else {
       pc.block = (pc.block + 1) % blocks;
@@ -262,12 +265,12 @@ void Machine::execute_instruction(const PhaseSpec& ph, bool kernel, Rng& rng,
       need_fetch_ = true;  // fall-through to a new block address
     }
   } else if (r < ph.frac_branch + ph.frac_load) {
-    const bool seq = !kernel && rng.chance(ph.hot_access_prob * ph.sequential_prob);
-    const std::uint64_t addr = data_address(kernel, ph, false, rng);
-    memory_access(addr, false, seq, ph, rng, out);
+    const bool seq = !kernel && rng_.chance(fp_.seq_load_prob);
+    const std::uint64_t addr = data_address(kernel, ph, false);
+    memory_access(addr, false, seq, ph, out);
   } else if (r < ph.frac_branch + ph.frac_load + ph.frac_store) {
-    const std::uint64_t addr = data_address(kernel, ph, true, rng);
-    memory_access(addr, true, false, ph, rng, out);
+    const std::uint64_t addr = data_address(kernel, ph, true);
+    memory_access(addr, true, false, ph, out);
   }
   // else: ALU/other — fetch cost only.
 }
@@ -289,6 +292,7 @@ void Machine::context_switch(EventCounts& out) {
 EventCounts Machine::next_interval() {
   HMD_REQUIRE_MSG(running(), "no active run — call start_run() first");
   const PhaseSpec& ph = phase_for_interval(interval_);
+  fp_ = footprint_of(ph);
   EventCounts out{};
   extra_frontend_ = extra_backend_ = 0.0;
 
@@ -313,12 +317,15 @@ EventCounts Machine::next_interval() {
 
   const double syscall_p = ph.syscalls_per_kilo_instr / 1000.0;
 
+  // Switches land before instructions ctx_every, 2 * ctx_every, ... while
+  // fewer than n_ctx have happened.
+  std::uint64_t next_ctx = ctx_every != 0 ? ctx_every : n_instr;
   for (std::uint64_t i = 0; i < n_instr; ++i) {
-    if (ctx_every != 0 && i > 0 && i % ctx_every == 0 &&
-        out[Event::kContextSwitches] < n_ctx) {
-      context_switch(out);
+    if (i == next_ctx) {
+      next_ctx += ctx_every;
+      if (out[Event::kContextSwitches] < n_ctx) context_switch(out);
     }
-    execute_instruction(ph, /*kernel=*/false, rng_, out);
+    execute_instruction(ph, /*kernel=*/false, out);
     if (syscall_p > 0.0 && rng_.chance(syscall_p)) {
       // Kernel burst: syscall entry runs kernel code against kernel data.
       // Entering and leaving the kernel both redirect the front end.
@@ -327,7 +334,7 @@ EventCounts Machine::next_interval() {
                                       ph.kernel_burst_instr * 0.2)));
       need_fetch_ = true;
       for (std::uint64_t k = 0; k < burst; ++k)
-        execute_instruction(ph, /*kernel=*/true, rng_, out);
+        execute_instruction(ph, /*kernel=*/true, out);
       need_fetch_ = true;
     }
   }

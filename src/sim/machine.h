@@ -59,17 +59,18 @@ struct MachineConfig {
 
 /// Executes application profiles and reports per-interval event counts.
 ///
-/// A Machine is *stateful across intervals of one run* (caches stay warm)
-/// and must be `reset()` between runs; the hpc::Container wrapper does this
-/// automatically, mirroring the paper's destroy-the-LXC-container-per-run
-/// protocol.
+/// A Machine is *stateful across intervals of one run* (caches stay warm).
+/// start_run() fully resets it first, so every run starts cold — the
+/// paper's destroy-the-LXC-container-per-run protocol, which the
+/// hpc::Container wrapper mirrors.
 class Machine {
  public:
   explicit Machine(MachineConfig cfg = {});
 
-  /// Begin a run of `app`. `run_index` differentiates the 11 capture
-  /// batches: the paper re-executes the application per batch, so two runs
-  /// see statistically identical but not bit-identical behaviour.
+  /// Reset the machine, then begin a run of `app`. `run_index`
+  /// differentiates the capture batches: the paper re-executes the
+  /// application per batch, so two runs see statistically identical but
+  /// not bit-identical behaviour.
   void start_run(const AppProfile& app, std::uint32_t run_index);
 
   /// True while the current run has intervals left.
@@ -90,15 +91,26 @@ class Machine {
     std::uint32_t block = 0;
   };
 
+  /// The active phase's footprint, derived once per interval rather than
+  /// once per instruction.
+  struct Footprint {
+    std::uint32_t code_pages = 1;  ///< user code pages (>= 1)
+    std::uint32_t blocks = 1;      ///< user basic blocks per page (>= 1)
+    std::uint32_t hot_pages = 1;   ///< data pages in the hot set (>= 1)
+    std::uint32_t cold_pages = 1;  ///< data pages outside it (>= 1)
+    std::uint64_t hot_bytes = 0;   ///< streaming range of the hot set
+    std::uint64_t stride = 1;      ///< streaming stride in bytes (>= 1)
+    double seq_load_prob = 0.0;    ///< P(a user load streams)
+  };
+
   const PhaseSpec& phase_for_interval(std::uint32_t interval) const;
+  static Footprint footprint_of(const PhaseSpec& ph);
   std::uint64_t code_address(bool kernel, const CodePoint& at,
-                             std::uint32_t instr_slot) const;
-  std::uint64_t data_address(bool kernel, const PhaseSpec& ph, bool is_store,
-                             Rng& rng);
-  void execute_instruction(const PhaseSpec& ph, bool kernel, Rng& rng,
-                           EventCounts& out);
+                             std::uint32_t instr_slot);
+  std::uint64_t data_address(bool kernel, const PhaseSpec& ph, bool is_store);
+  void execute_instruction(const PhaseSpec& ph, bool kernel, EventCounts& out);
   void memory_access(std::uint64_t addr, bool is_store, bool sequential,
-                     const PhaseSpec& ph, Rng& rng, EventCounts& out);
+                     const PhaseSpec& ph, EventCounts& out);
   void context_switch(EventCounts& out);
 
   MachineConfig cfg_;
@@ -112,8 +124,13 @@ class Machine {
   std::uint64_t layout_seed_ = 0;  ///< per-run ASLR-style address layout
   Rng rng_{0};
 
+  Footprint fp_{};
   CodePoint user_pc_{};
   CodePoint kernel_pc_{};
+  /// mix64-scattered page id of user code page `code_page_`; the page only
+  /// changes on a branch, the lookup happens every instruction.
+  std::uint32_t code_page_ = 0;
+  std::uint64_t code_page_id_ = 0;
   std::uint64_t seq_ptr_ = 0;    ///< streaming-access pointer within hot set
   std::uint32_t fetch_slot_ = 0; ///< advancing instruction slot in a block
   bool need_fetch_ = true;       ///< control flow forces a refetch

@@ -80,12 +80,12 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t below(std::uint64_t n) {
     HMD_REQUIRE(n > 0);
-    // Lemire-style rejection-free-ish reduction; bias is negligible for the
-    // ranges used here but we reject to keep the stream exactly uniform.
-    const std::uint64_t threshold = (0 - n) % n;
+    // Reject draws below 2^64 mod n to keep the stream exactly uniform.
+    // That threshold is < n, so a draw >= n is accepted without computing
+    // it; the division is only paid on the rare draw below n.
     for (;;) {
       const std::uint64_t r = operator()();
-      if (r >= threshold) return r % n;
+      if (r >= n || r >= (0 - n) % n) return r % n;
     }
   }
 

@@ -40,9 +40,12 @@ std::uint64_t heap_allocs() {
 
 // Counting replacements for the default-aligned global allocator. Only the
 // unaligned forms are replaced; over-aligned allocations keep the library
-// defaults (nothing on the observe() path is over-aligned). The replaced
-// pairs are malloc/free-based throughout, so the mismatch warning (which
-// assumes the defaults) does not apply.
+// defaults (nothing on the observe() path is over-aligned). The nothrow
+// forms (std::stable_sort's temporary buffer) are replaced too: left at the
+// defaults, their memory would be released by the malloc/free-based delete
+// below, an alloc-dealloc mismatch. The replaced pairs are malloc/free-based
+// throughout, so the mismatch warning (which assumes the defaults) does not
+// apply.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
@@ -53,6 +56,17 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }

@@ -3,8 +3,12 @@
 // catalog.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
+#include "hpc/capture.h"
 #include "sim/branch_predictor.h"
 #include "sim/cache.h"
 #include "sim/events.h"
@@ -131,6 +135,75 @@ TEST(Cache, PolluteInvalidatesRoughFraction) {
     if (c.probe(line * 64)) ++survivors;
   EXPECT_GT(survivors, 150u);
   EXPECT_LT(survivors, 360u);
+}
+
+/// Which lines the reference pollution walk drops, in storage order: one
+/// serial LCG chain seeded with mix | 1, one step per line.
+std::vector<bool> serial_pollution(std::size_t lines, double fraction,
+                                   std::uint64_t mix) {
+  std::vector<bool> dropped(lines, false);
+  if (fraction <= 0.0) return dropped;
+  const auto threshold = static_cast<std::uint64_t>(fraction * 1024.0);
+  std::uint64_t h = mix | 1;
+  for (std::size_t i = 0; i < lines; ++i) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    dropped[i] = (h >> 33) % 1024 < threshold;
+  }
+  return dropped;
+}
+
+TEST(Cache, PolluteMatchesSerialLcg) {
+  // One set, so line i of storage is way i, which a cold fill of
+  // addresses 0, 64, 128, ... populates in order. The line counts straddle
+  // the pollution lane width.
+  for (std::uint32_t ways : {1u, 7u, 9u, 8193u}) {
+    Cache warm({1, ways, 64});
+    for (std::uint64_t line = 0; line < ways; ++line) warm.access(line * 64);
+    for (double fraction : {0.0, 0.12, 0.5, 1.0}) {
+      for (std::uint64_t mix : {0x1234ULL, ~0ULL}) {
+        Cache c = warm;
+        c.pollute(fraction, mix);
+        const auto dropped = serial_pollution(ways, fraction, mix);
+        std::size_t mismatches = 0;
+        for (std::uint64_t line = 0; line < ways; ++line)
+          mismatches += c.probe(line * 64) == dropped[line];
+        EXPECT_EQ(mismatches, 0u)
+            << ways << " lines, fraction " << fraction << ", mix " << mix;
+      }
+    }
+  }
+}
+
+TEST(Cache, PolluteRequiresFractionInUnitInterval) {
+  Cache c({64, 8, 64});
+  for (double bad : {std::nan(""), -0.1, 1.5,
+                     std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(c.pollute(bad, 1), PreconditionError) << bad;
+  EXPECT_NO_THROW(c.pollute(0.0, 1));
+  EXPECT_NO_THROW(c.pollute(1.0, 1));
+}
+
+TEST(Cache, TreePlruRejectsMoreThan32Ways) {
+  // The tree bits live in 32 bits: 64 ways would shift past them.
+  CacheGeometry geo{1, 64, 64, ReplacementPolicy::kTreePlru};
+  EXPECT_THROW(Cache{geo}, PreconditionError);
+  geo.ways = 33;
+  EXPECT_THROW(Cache{geo}, PreconditionError);
+  geo.ways = 32;  // the largest tree: evicting walks 31 node bits
+  Cache c(geo);
+  for (std::uint64_t line = 0; line < 40; ++line) c.access(line * 64);
+  EXPECT_EQ(c.misses(), 40u);
+  geo.ways = 64;
+  geo.policy = ReplacementPolicy::kLru;
+  EXPECT_NO_THROW(Cache{geo});
+}
+
+TEST(Cache, SentinelTagIsUnreachable) {
+  // With one set and one-byte lines every 64-bit address would be a tag,
+  // including the all-ones invalid-way sentinel.
+  EXPECT_THROW(Cache({1, 4, 1}), PreconditionError);
+  EXPECT_NO_THROW(Cache({1, 4, 2}));
+  EXPECT_NO_THROW(Cache({2, 4, 1}));
 }
 
 // ------------------------------------------------------- branch predictor --
@@ -320,6 +393,97 @@ TEST(Machine, MultiPhaseAppsChangeBehaviourOverTime) {
   const double late =
       (store_rate[n - 1] + store_rate[n - 2] + store_rate[n - 3]) / 3;
   EXPECT_GT(late, early * 1.5);
+}
+
+// ------------------------------------------------------- bit identity --
+
+/// FNV-1a 64 over the little-endian bytes of each word.
+void fnv_mix(std::uint64_t& h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Digest of all 44 counts of every interval of a small fixed corpus: a
+/// mix of calm and syscall/context-switch-heavy templates, so kernel
+/// bursts, TLB flushes and cache pollution all contribute.
+std::uint64_t event_count_digest(const MachineConfig& cfg) {
+  const std::vector<AppProfile> apps = {
+      make_benign(0, 0, 2018, 4), make_benign(9, 1, 2018, 4),
+      make_malware(2, 0, 2018, 4), make_malware(7, 1, 2018, 4),
+      make_malware(11, 0, 2018, 4)};
+  Machine m(cfg);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint32_t a = 0; a < apps.size(); ++a) {
+    m.start_run(apps[a], /*run_index=*/a);
+    while (m.running()) {
+      const EventCounts c = m.next_interval();
+      for (Event e : all_events()) fnv_mix(h, c[e]);
+    }
+  }
+  return h;
+}
+
+MachineConfig with_variant(ReplacementPolicy policy, BranchPredictorKind kind) {
+  MachineConfig cfg;
+  for (CacheGeometry* g : {&cfg.l1i, &cfg.l1d, &cfg.llc, &cfg.dtlb, &cfg.itlb,
+                           &cfg.branch.btb})
+    g->policy = policy;
+  cfg.branch.kind = kind;
+  return cfg;
+}
+
+// The simulator's output is a contract: every captured row downstream
+// (fig3 tables, checkpoints, verdict hashes) is a function of these
+// counts. A change here must be deliberate and re-baselined on purpose.
+TEST(Sim, EventCountDigestsArePinned) {
+  EXPECT_EQ(event_count_digest(MachineConfig{}), 0x15fac2b7b22c8198ULL);
+
+  constexpr std::uint64_t kPinned[4][4] = {
+      // gshare, bimodal, local, tournament
+      {0x15fac2b7b22c8198ULL, 0x39a1203834338caaULL, 0xa49540529b488284ULL,
+       0x656b1cdd1513939eULL},  // LRU
+      {0xaa1d0511ae24d139ULL, 0xf8f9714f502c86a9ULL, 0xdcdc837cc2952186ULL,
+       0x4ca27137f45c8dc5ULL},  // FIFO
+      {0x57c89ff034376ef7ULL, 0x3881d939702723a0ULL, 0x55f3400bb521ab46ULL,
+       0xf8d325c6121ab063ULL},  // random
+      {0xb8c781ccaaedf6c9ULL, 0x3c8471fbd51b7252ULL, 0xa66c4bac9b63386aULL,
+       0x503d7f1a6c375495ULL},  // tree-PLRU
+  };
+  for (int p = 0; p < 4; ++p)
+    for (int k = 0; k < 4; ++k) {
+      const auto policy = static_cast<ReplacementPolicy>(p);
+      const auto kind = static_cast<BranchPredictorKind>(k);
+      EXPECT_EQ(event_count_digest(with_variant(policy, kind)), kPinned[p][k])
+          << replacement_policy_name(policy) << " x "
+          << branch_predictor_kind_name(kind);
+    }
+
+  // Tree-PLRU over non-power-of-two associativity runs as true LRU.
+  MachineConfig odd = with_variant(ReplacementPolicy::kTreePlru,
+                                   BranchPredictorKind::kGshare);
+  odd.l1d.ways = 6;
+  odd.llc.ways = 12;
+  odd.dtlb.ways = 3;
+  EXPECT_EQ(event_count_digest(odd), 0x9ee5b123c7506cafULL);
+
+  // The multi-run capture protocol end to end: 10 PMU batches per app,
+  // each a fresh container run, assembled into labelled rows.
+  const auto cap = hpc::capture_all_events(
+      {make_benign(3, 0, 7, 5), make_malware(5, 0, 7, 5)},
+      hpc::CaptureConfig{.threads = 2});
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < cap.num_rows(); ++i) {
+    fnv_mix(h, static_cast<std::uint64_t>(cap.labels[i]));
+    for (double v : cap.rows[i]) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      fnv_mix(h, bits);
+    }
+  }
+  fnv_mix(h, cap.total_runs);
+  EXPECT_EQ(h, 0xce571c50215b5ba9ULL);
 }
 
 // -------------------------------------------------------------- workloads --

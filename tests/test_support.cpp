@@ -63,6 +63,30 @@ TEST(Rng, BelowCoversAllValues) {
   for (int h : hits) EXPECT_GT(h, 800);
 }
 
+TEST(Rng, BelowMatchesReferenceRejection) {
+  // below() skips computing the rejection threshold 2^64 mod n for draws
+  // >= n; the stream must equal the textbook formula's draw for draw,
+  // including the rejection-heavy n just above 2^63.
+  const auto reference_below = [](Rng& raw, std::uint64_t n) {
+    const std::uint64_t threshold = (0 - n) % n;
+    for (;;) {
+      const std::uint64_t r = raw();
+      if (r >= threshold) return r % n;
+    }
+  };
+  for (std::uint64_t n :
+       {1ULL, 2ULL, 3ULL, 7ULL, 64ULL, (1ULL << 32) - 1, 1ULL << 32,
+        (1ULL << 32) + 1, (1ULL << 63) + 1, ~0ULL}) {
+    for (std::uint64_t seed : {1ULL, 42ULL, 2018ULL, 0xDEADBEEFULL}) {
+      Rng fast(seed), raw(seed);
+      for (int i = 0; i < 2000; ++i)
+        ASSERT_EQ(fast.below(n), reference_below(raw, n))
+            << "n=" << n << " seed=" << seed << " draw " << i;
+      EXPECT_EQ(fast(), raw()) << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
 TEST(Rng, BelowZeroThrows) {
   Rng rng(1);
   EXPECT_THROW(rng.below(0), PreconditionError);
