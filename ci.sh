@@ -36,9 +36,10 @@
 #   8. Serving leg (5): bench/serve --quick runs under TSan (the
 #      controller/worker pipeline is the most lock-dense code in the
 #      tree), then the Release tree proves the determinism contract —
-#      1-thread and 4-thread verdict streams byte-identical, per-run
-#      counters JSON-identical, and batched scoring at least as fast as
-#      unbatched.
+#      1-thread (inline worker) and 4-thread (queued workers) verdict
+#      streams byte-identical, per-run counters JSON-identical, batched
+#      scoring at least as fast as unbatched, and no backpressure stall
+#      at 1 thread.
 #   9. Drift leg (6): bench/drift --quick runs the drift-aware refresh
 #      pipeline under ASan/UBSan (harvest, background retrain, hot-swap)
 #      with the detection/recovery assertions checked from the JSON; the
@@ -332,8 +333,11 @@ for run in ("batched", "unbatched", "overloaded"):
 over = t1["overloaded"]["counters"]
 assert over["shed"] > 0, "overloaded run shed nothing"
 assert over["admitted"] + over["shed"] == over["emitted"], over
+# One worker runs inline on the controller thread: no queue, no stalls.
+stalls = t1["batched"]["timing"]["backpressure_stalls"]
+assert stalls == 0, f"1-thread run stalled {stalls} times: not inline"
 print(f"BENCH serve OK: batched speedup {t1['batched_speedup']:.2f}x, "
-      f"counters identical across thread counts")
+      f"counters identical across thread counts, 1-thread run inline")
 EOF
 else
   grep -q '"bench": "serve"' build-ci-release/serve-t1.json

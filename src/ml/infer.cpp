@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
+#include <cstdint>
 #include <cstdlib>
-#include <limits>
 
 #include "ml/adaboost.h"
 #include "ml/bagging.h"
@@ -51,6 +50,13 @@ class ScalarBackend final : public InferenceBackend {
 // Flat backend: the model lowered into contiguous struct-of-arrays blocks,
 // scored with branch-free inner loops.
 
+// Two-lane double vectors and their compare masks (GCC/Clang vector
+// extensions; SSE2 on x86-64, so no -march change). A lane compare has the
+// scalar operator's semantics — an IEEE ordered compare, false on NaN —
+// and yields all-ones or all-zero lanes.
+using V2d = double __attribute__((vector_size(16)));
+using V2i = std::int64_t __attribute__((vector_size(16)));
+
 class FlatBackend final : public InferenceBackend {
  public:
   /// How member scores combine into the model score. The arithmetic and
@@ -61,14 +67,12 @@ class FlatBackend final : public InferenceBackend {
   enum class Combine { kSingle, kAverage, kVote };
 
   struct Member {
-    enum class Unit : std::uint8_t { kTree, kBuckets };
+    enum class Unit : std::uint8_t { kTree, kBuckets, kRules };
     Unit unit = Unit::kTree;
     // kTree: the member's slice of the node block starts at `first_node`,
     // child indices inside it are LOCAL to that slice (so they fit u16),
     // evaluation enters at local index `entry`, and `depth` bounds the
-    // walk (the member's longest entry-to-leaf path). JRip members are
-    // kTree too — their decision list compiles into the shared node block
-    // (see add_rules).
+    // walk (the member's longest entry-to-leaf path).
     std::uint32_t first_node = 0;
     std::uint16_t entry = 0;
     std::uint32_t depth = 0;
@@ -77,6 +81,11 @@ class FlatBackend final : public InferenceBackend {
     std::uint32_t first_cut = 0;
     std::uint32_t num_cuts = 0;
     std::uint32_t first_bucket = 0;
+    // kRules: rules [first_rule, first_rule + num_rules) of the rule block,
+    // in decision-list order, and the value when none fires.
+    std::uint32_t first_rule = 0;
+    std::uint32_t num_rules = 0;
+    double default_proba = 0.0;
     double alpha = 1.0;  ///< vote weight (kVote only)
   };
 
@@ -114,10 +123,48 @@ class FlatBackend final : public InferenceBackend {
   std::vector<double> cuts_;
   std::vector<double> bucket_proba_;
 
+  // Rule block (JRip members). One record per rule; its conjunction is
+  // conditions [first_cond, end_cond) of the parallel condition arrays,
+  // the `x <= threshold` tests first and the `x >= threshold` tests from
+  // `first_geq` on (AND commutes, so grouping by operator loses nothing
+  // and takes the operator out of the inner loop). A condition names its
+  // feature by column of the tile transpose (rule_cols_), not by row
+  // offset.
+  struct FlatRule {
+    std::uint32_t first_cond = 0;
+    std::uint32_t first_geq = 0;
+    std::uint32_t end_cond = 0;
+    double fire_proba = 0.0;  ///< P(malware) when this rule fires first
+  };
+  std::vector<FlatRule> rules_;
+  std::vector<std::uint32_t> cond_col_;
+  std::vector<double> cond_threshold_;
+  /// Features any rule tests, ascending: the columns of the tile transpose.
+  std::vector<std::uint32_t> rule_cols_;
+
   std::vector<Member> members_;
   Combine combine_ = Combine::kSingle;
   double alpha_total_ = 0.0;     ///< member-order sum of vote alphas
   std::size_t min_features_ = 0; ///< 1 + max feature index consumed
+  /// Rows per scoring tile: kTile, or fewer when a wide rule transpose
+  /// would not fit the fixed per-call column buffer (see finish()).
+  std::size_t tile_rows_ = kTile;
+
+  /// 128 rows x 8 features x 8 bytes = 8 KiB of x per tile: small enough
+  /// that the tile AND the ensemble's hot top-of-tree node lines coexist
+  /// in L1 (a 512-row tile is 32 KiB — it owned the whole cache and
+  /// evicted the nodes between members).
+  static constexpr std::size_t kTile = 128;
+  /// Doubles in the per-call transposed-tile buffer (16 KiB of stack).
+  static constexpr std::size_t kColBudget = 2048;
+  /// Row pairs a rule evaluates at once (a shard batch of 32 rows is two
+  /// groups); leftover pairs go one at a time.
+  static constexpr std::size_t kGroup = 8;
+
+  /// Resolve the rule members' feature columns and the tile size once
+  /// every member is lowered; false if the transpose cannot fit a tile of
+  /// two rows.
+  bool finish();
 
  private:
   // The eval loops are generic over how a finished sample's probability
@@ -133,13 +180,23 @@ class FlatBackend final : public InferenceBackend {
   // it removed at these ensemble depths, ~1.76x vs ~1.98x aggregate.)
   template <class Emit>
   void eval_member(const Member& m, const double* x, std::size_t nf,
-                   std::size_t n, Emit emit) const;
+                   std::size_t n, const V2d* cols, Emit emit) const;
   template <class Emit>
   void eval_tree(const Member& m, const double* x, std::size_t nf,
                  std::size_t n, Emit emit) const;
   template <class Emit>
   void eval_buckets(const Member& m, const double* x, std::size_t nf,
                     std::size_t n, Emit emit) const;
+  template <class Emit>
+  void eval_rules(const Member& m, const V2d* cols, std::size_t n,
+                  Emit emit) const;
+  template <std::size_t G>
+  void eval_rule_pairs(const Member& m, const V2d* cols, std::size_t pairs,
+                       std::size_t p0, V2d* proba) const;
+  /// Transpose the rule-tested features of an n-row tile into column-major
+  /// row pairs: cols[c * pairs + p] holds column c of rows 2p and 2p + 1.
+  void transpose_tile(const double* x, std::size_t nf, std::size_t n,
+                      V2d* cols) const;
 };
 
 /// Emit policies: how one member's per-sample probability is committed.
@@ -180,44 +237,35 @@ void FlatBackend::predict_proba_batch(std::span<const double> x,
   if (n == 0) return;
   const double* px = x.data();
 
-  // 128 rows x 8 features x 8 bytes = 8 KiB of x per tile: small enough
-  // that the tile AND the ensemble's hot top-of-tree node lines coexist
-  // in L1 (a 512-row tile is 32 KiB — it owned the whole cache and
-  // evicted the nodes between members).
-  constexpr std::size_t kTile = 128;
-
-  if (combine_ == Combine::kSingle) {
-    const Member& m = members_.front();
-    for (std::size_t t = 0; t < n; t += kTile) {
-      const std::size_t tn = std::min(kTile, n - t);
-      eval_member(m, px + t * num_features, num_features, tn,
-                  EmitStore{out.data() + t});
-    }
-    return;
-  }
-
-  // Ensemble combine runs tiled: each member scores one kTile-row slice
-  // before the next tile starts, so the slice of x (and the accumulator)
-  // stays cache-resident across the whole member loop. Scoring the full
-  // batch member by member instead would re-stream every byte of x from
-  // outer cache levels once per member. acc[i] accumulates the same
-  // member-order sequence of operands as the scalar model — kAverage as
-  // Bagging/RandomForest's sum then divide-by-count, kVote as
+  // Scoring runs tiled: each member scores one tile of rows before the
+  // next tile starts, so the slice of x (its rule-feature transpose, and
+  // the accumulator) stays cache-resident across the whole member loop.
+  // Scoring the full batch member by member instead would re-stream every
+  // byte of x from outer cache levels once per member. acc[i] accumulates
+  // the same member-order sequence of operands as the scalar model —
+  // kAverage as Bagging/RandomForest's sum then divide-by-count, kVote as
   // AdaBoostM1's alpha-weighted hard vote over the member-order alpha
   // sum — so combining stays bit-identical.
+  V2d cols[kColBudget / 2];
   double acc[kTile];
-  for (std::size_t t = 0; t < n; t += kTile) {
-    const std::size_t tn = std::min(kTile, n - t);
+  for (std::size_t t = 0; t < n; t += tile_rows_) {
+    const std::size_t tn = std::min(tile_rows_, n - t);
     const double* tx = px + t * num_features;
+    if (!rule_cols_.empty()) transpose_tile(tx, num_features, tn, cols);
+    if (combine_ == Combine::kSingle) {
+      eval_member(members_.front(), tx, num_features, tn, cols,
+                  EmitStore{out.data() + t});
+      continue;
+    }
     std::fill(acc, acc + tn, 0.0);
     if (combine_ == Combine::kAverage) {
       for (const Member& m : members_)
-        eval_member(m, tx, num_features, tn, EmitAdd{acc});
+        eval_member(m, tx, num_features, tn, cols, EmitAdd{acc});
       const double count = static_cast<double>(members_.size());
       for (std::size_t i = 0; i < tn; ++i) out[t + i] = acc[i] / count;
     } else {
       for (const Member& m : members_)
-        eval_member(m, tx, num_features, tn, EmitVote{acc, m.alpha});
+        eval_member(m, tx, num_features, tn, cols, EmitVote{acc, m.alpha});
       for (std::size_t i = 0; i < tn; ++i)
         out[t + i] = alpha_total_ > 0.0 ? acc[i] / alpha_total_ : 0.5;
     }
@@ -226,13 +274,14 @@ void FlatBackend::predict_proba_batch(std::span<const double> x,
 
 template <class Emit>
 void FlatBackend::eval_member(const Member& m, const double* x,
-                              std::size_t nf, std::size_t n,
+                              std::size_t nf, std::size_t n, const V2d* cols,
                               Emit emit) const {
   switch (m.unit) {
     case Member::Unit::kTree: eval_tree(m, x, nf, n, emit); return;
     case Member::Unit::kBuckets:
       eval_buckets(m, x, nf, n, emit);
       return;
+    case Member::Unit::kRules: eval_rules(m, cols, n, emit); return;
   }
   throw InvariantError("unknown flat member unit");
 }
@@ -351,6 +400,75 @@ void FlatBackend::eval_buckets(const Member& m, const double* x,
   }
 }
 
+void FlatBackend::transpose_tile(const double* x, std::size_t nf,
+                                 std::size_t n, V2d* cols) const {
+  const std::size_t pairs = (n + 1) / 2;
+  for (std::size_t c = 0; c < rule_cols_.size(); ++c) {
+    const double* src = x + rule_cols_[c];
+    V2d* dst = cols + c * pairs;
+    for (std::size_t p = 0; p < n / 2; ++p)
+      dst[p] = V2d{src[2 * p * nf], src[(2 * p + 1) * nf]};
+    // An odd tile's last pair repeats its row; the copy's result is never
+    // emitted.
+    if (n % 2 != 0) dst[n / 2] = V2d{src[(n - 1) * nf], src[(n - 1) * nf]};
+  }
+}
+
+/// Rule-major decision-list evaluation over a transposed tile. Each rule's
+/// conjunction is one all-ones mask per row pair, ANDed with one two-lane
+/// compare per condition — the scalar Condition::matches operators, so a
+/// NaN fails `<=` and `>=` alike — with no data-dependent branch anywhere.
+/// Rules are applied last to first, each overwriting the probability of
+/// the rows it fires on, so the first firing rule's value is the one left:
+/// exactly the scalar list's first-match return, selected bit for bit.
+template <class Emit>
+void FlatBackend::eval_rules(const Member& m, const V2d* cols, std::size_t n,
+                             Emit emit) const {
+  const std::size_t pairs = (n + 1) / 2;
+  V2d proba[kTile / 2];
+  std::size_t p = 0;
+  for (; p + kGroup <= pairs; p += kGroup)
+    eval_rule_pairs<kGroup>(m, cols, pairs, p, proba);
+  for (; p < pairs; ++p) eval_rule_pairs<1>(m, cols, pairs, p, proba);
+  for (std::size_t i = 0; i < n; ++i) emit(i, proba[i / 2][i % 2]);
+}
+
+/// Row pairs [p0, p0 + G) through every rule of member m. The G masks and
+/// probabilities stay in registers across a rule's conditions, so a
+/// condition costs one broadcast threshold plus G loads, compares and
+/// ANDs.
+template <std::size_t G>
+void FlatBackend::eval_rule_pairs(const Member& m, const V2d* cols,
+                                  std::size_t pairs, std::size_t p0,
+                                  V2d* proba) const {
+  const double* thr = cond_threshold_.data();
+  const std::uint32_t* col = cond_col_.data();
+  V2d pr[G];
+  for (std::size_t k = 0; k < G; ++k)
+    pr[k] = V2d{m.default_proba, m.default_proba};
+  for (std::uint32_t r = m.first_rule + m.num_rules; r-- > m.first_rule;) {
+    const FlatRule* rule = &rules_[r];
+    V2i mk[G];
+    for (std::size_t k = 0; k < G; ++k) mk[k] = V2i{-1, -1};
+    for (std::uint32_t c = rule->first_cond; c < rule->first_geq; ++c) {
+      const V2d* v = cols + col[c] * pairs + p0;
+      const V2d t{thr[c], thr[c]};
+      for (std::size_t k = 0; k < G; ++k) mk[k] &= v[k] <= t;
+    }
+    for (std::uint32_t c = rule->first_geq; c < rule->end_cond; ++c) {
+      const V2d* v = cols + col[c] * pairs + p0;
+      const V2d t{thr[c], thr[c]};
+      for (std::size_t k = 0; k < G; ++k) mk[k] &= v[k] >= t;
+    }
+    const V2i fire =
+        std::bit_cast<V2i>(V2d{rule->fire_proba, rule->fire_proba});
+    for (std::size_t k = 0; k < G; ++k)
+      pr[k] = std::bit_cast<V2d>((mk[k] & fire) |
+                                 (~mk[k] & std::bit_cast<V2i>(pr[k])));
+  }
+  for (std::size_t k = 0; k < G; ++k) proba[p0 + k] = pr[k];
+}
+
 // ---------------------------------------------------------------------------
 // Lowering a trained model into a FlatBackend.
 
@@ -405,100 +523,53 @@ bool add_tree(FlatBackend& fb, const std::vector<NodeT>& nodes,
   return true;
 }
 
-/// Compile a JRip decision list into the shared flat node block. A
-/// decision list IS a degenerate decision DAG: each condition becomes one
-/// node whose pass edge continues the rule's conjunction (ending in the
-/// rule's fire leaf) and whose fail edge jumps to the next rule's entry
-/// (ultimately the default leaf). Fail edges of different conditions share
-/// targets — the walk only follows child indices, so a DAG is as walkable
-/// as a tree, and JRip members ride the same branch-free interleaved walk
-/// as J48/RepTree instead of needing a rule interpreter of their own.
-///
-/// The walk's one comparison shape is `x <= threshold ? child[0] :
-/// child[1]`. A `x[f] <= v` condition maps directly; a `x[f] >= v`
-/// condition lowers exactly to `x[f] > nextafter(v, -inf)` — for the
-/// finite doubles HPC features are drawn from, `x > prev(v)` and `x >= v`
-/// select the same values — with the pass edge on child[1].
-bool add_rules(FlatBackend& fb, const JRip& rip, double alpha) {
-  const std::vector<JRip::Rule>& rules = rip.rules();
-  const auto num_rules = static_cast<std::uint32_t>(rules.size());
-  const auto base = static_cast<std::uint32_t>(fb.nodes_.size());
-
-  // Layout (all indices member-local): all condition chains in rule
-  // order, then one fire leaf per rule, then the shared default leaf.
-  std::vector<std::uint16_t> chain_start(rules.size());
-  std::uint32_t chain_total = 0;
-  for (std::size_t r = 0; r < rules.size(); ++r) {
-    chain_start[r] = static_cast<std::uint16_t>(chain_total);
-    chain_total += static_cast<std::uint32_t>(rules[r].conditions.size());
-    if (chain_total + num_rules + 1 > kMaxMemberNodes) return false;
-  }
-  const auto first_fire = static_cast<std::uint16_t>(chain_total);
-  const auto default_leaf = static_cast<std::uint16_t>(first_fire + num_rules);
-  // Where evaluation of rule r begins: its first condition, or straight to
-  // its fire leaf for an unconditional rule; past the last rule, the
-  // default leaf.
-  const auto entry = [&](std::size_t r) {
-    if (r >= rules.size()) return default_leaf;
-    if (rules[r].conditions.empty())
-      return static_cast<std::uint16_t>(first_fire + r);
-    return chain_start[r];
-  };
-
-  for (std::size_t r = 0; r < rules.size(); ++r) {
-    const std::vector<JRip::Condition>& conds = rules[r].conditions;
-    for (std::size_t j = 0; j < conds.size(); ++j) {
-      const JRip::Condition& c = conds[j];
-      const std::uint16_t pass =
-          j + 1 < conds.size()
-              ? static_cast<std::uint16_t>(chain_start[r] + j + 1)
-              : static_cast<std::uint16_t>(first_fire + r);
-      const std::uint16_t fail = entry(r + 1);
-      if (c.feature > kMaxMemberNodes) return false;  // u16 feature
-      FlatBackend::FlatTreeNode node;
-      node.feature = static_cast<std::uint16_t>(c.feature);
-      if (c.leq) {
-        node.threshold = c.value;
-        node.child[0] = pass;
-        node.child[1] = fail;
-      } else {
-        node.threshold = std::nextafter(
-            c.value, -std::numeric_limits<double>::infinity());
-        node.child[0] = fail;
-        node.child[1] = pass;
-      }
-      fb.min_features_ = std::max(fb.min_features_, c.feature + 1);
-      fb.nodes_.push_back(node);
-      fb.leaf_proba_.push_back(0.0);
-    }
-  }
-  for (std::size_t r = 0; r < rules.size(); ++r) {
-    FlatBackend::FlatTreeNode leaf;
-    const auto self = static_cast<std::uint16_t>(first_fire + r);
-    leaf.child[0] = self;
-    leaf.child[1] = self;
-    fb.nodes_.push_back(leaf);
-    // The value the scalar decision list returns when this rule fires
-    // first, resolved at lowering time instead of per prediction.
-    fb.leaf_proba_.push_back(rip.target_class() == 1
-                                 ? rules[r].precision
-                                 : 1.0 - rules[r].precision);
-  }
-  FlatBackend::FlatTreeNode fallback;
-  fallback.child[0] = default_leaf;
-  fallback.child[1] = default_leaf;
-  fb.nodes_.push_back(fallback);
-  fb.leaf_proba_.push_back(rip.default_proba());
-
+/// Lower a JRip decision list into the rule block: per rule its
+/// conditions (the `<=` tests, then the `>=` tests, each with the scalar
+/// threshold unchanged) and the value the scalar list returns when that
+/// rule fires first, resolved here instead of per prediction. Conditions
+/// hold raw feature indices until finish() maps them to columns.
+void add_rules(FlatBackend& fb, const JRip& rip, double alpha) {
   FlatBackend::Member m;
-  m.unit = FlatBackend::Member::Unit::kTree;
-  m.first_node = base;
-  m.entry = entry(0);
-  // Longest possible path visits every condition once (fail through the
-  // whole list) plus the final leaf.
-  m.depth = rules.empty() ? 0 : chain_total + 1;
+  m.unit = FlatBackend::Member::Unit::kRules;
+  m.first_rule = static_cast<std::uint32_t>(fb.rules_.size());
+  m.num_rules = static_cast<std::uint32_t>(rip.rules().size());
+  m.default_proba = rip.default_proba();
   m.alpha = alpha;
+  for (const JRip::Rule& rule : rip.rules()) {
+    FlatBackend::FlatRule fr;
+    fr.first_cond = static_cast<std::uint32_t>(fb.cond_col_.size());
+    for (const bool leq : {true, false}) {
+      if (!leq) fr.first_geq = static_cast<std::uint32_t>(fb.cond_col_.size());
+      for (const JRip::Condition& c : rule.conditions) {
+        if (c.leq != leq) continue;
+        fb.cond_col_.push_back(static_cast<std::uint32_t>(c.feature));
+        fb.cond_threshold_.push_back(c.value);
+        fb.min_features_ = std::max(fb.min_features_, c.feature + 1);
+      }
+    }
+    fr.end_cond = static_cast<std::uint32_t>(fb.cond_col_.size());
+    fr.fire_proba = rip.target_class() == 1 ? rule.precision
+                                            : 1.0 - rule.precision;
+    fb.rules_.push_back(fr);
+  }
   fb.members_.push_back(m);
+}
+
+bool FlatBackend::finish() {
+  rule_cols_.assign(cond_col_.begin(), cond_col_.end());
+  std::sort(rule_cols_.begin(), rule_cols_.end());
+  rule_cols_.erase(std::unique(rule_cols_.begin(), rule_cols_.end()),
+                   rule_cols_.end());
+  for (std::uint32_t& c : cond_col_)
+    c = static_cast<std::uint32_t>(
+        std::lower_bound(rule_cols_.begin(), rule_cols_.end(), c) -
+        rule_cols_.begin());
+  if (rule_cols_.empty()) return true;
+  // A tile's transpose holds rule_cols_.size() columns of ceil(rows / 2)
+  // pairs: take the largest even tile, up to kTile, whose transpose fits.
+  const std::size_t max_pairs = kColBudget / 2 / rule_cols_.size();
+  if (max_pairs == 0) return false;
+  tile_rows_ = std::min(kTile, 2 * max_pairs);
   return true;
 }
 
@@ -533,7 +604,9 @@ bool add_base(FlatBackend& fb, const Classifier& model, double alpha) {
     return rnd->trained() && add_tree(fb, rnd->flatten(), alpha);
   }
   if (const auto* rip = dynamic_cast<const JRip*>(&model)) {
-    return rip->trained() && add_rules(fb, *rip, alpha);
+    if (!rip->trained()) return false;
+    add_rules(fb, *rip, alpha);
+    return true;
   }
   if (const auto* oner = dynamic_cast<const OneR*>(&model)) {
     if (!oner->trained()) return false;
@@ -543,34 +616,40 @@ bool add_base(FlatBackend& fb, const Classifier& model, double alpha) {
   return false;
 }
 
-std::unique_ptr<FlatBackend> try_build_flat(const Classifier& model) {
-  auto fb = std::make_unique<FlatBackend>();
+/// Lower every member of `model` (an ensemble, or one base model) into
+/// `fb`; false if any has no flat form.
+bool add_members(FlatBackend& fb, const Classifier& model) {
   if (const auto* boost = dynamic_cast<const AdaBoostM1*>(&model)) {
-    if (boost->num_members() == 0) return nullptr;  // untrained: fall back
-    fb->combine_ = FlatBackend::Combine::kVote;
+    if (boost->num_members() == 0) return false;  // untrained: fall back
+    fb.combine_ = FlatBackend::Combine::kVote;
     for (std::size_t m = 0; m < boost->num_members(); ++m) {
-      if (!add_base(*fb, boost->member(m), boost->member_alpha(m)))
-        return nullptr;
-      fb->alpha_total_ += boost->member_alpha(m);
+      if (!add_base(fb, boost->member(m), boost->member_alpha(m)))
+        return false;
+      fb.alpha_total_ += boost->member_alpha(m);
     }
-    return fb;
+    return true;
   }
   if (const auto* bag = dynamic_cast<const Bagging*>(&model)) {
-    if (bag->num_members() == 0) return nullptr;
-    fb->combine_ = FlatBackend::Combine::kAverage;
+    if (bag->num_members() == 0) return false;
+    fb.combine_ = FlatBackend::Combine::kAverage;
     for (std::size_t m = 0; m < bag->num_members(); ++m)
-      if (!add_base(*fb, bag->member(m), 1.0)) return nullptr;
-    return fb;
+      if (!add_base(fb, bag->member(m), 1.0)) return false;
+    return true;
   }
   if (const auto* forest = dynamic_cast<const RandomForest*>(&model)) {
-    if (forest->num_trees() == 0) return nullptr;
-    fb->combine_ = FlatBackend::Combine::kAverage;
+    if (forest->num_trees() == 0) return false;
+    fb.combine_ = FlatBackend::Combine::kAverage;
     for (std::size_t m = 0; m < forest->num_trees(); ++m)
-      if (!add_base(*fb, forest->member(m), 1.0)) return nullptr;
-    return fb;
+      if (!add_base(fb, forest->member(m), 1.0)) return false;
+    return true;
   }
-  fb->combine_ = FlatBackend::Combine::kSingle;
-  if (!add_base(*fb, model, 1.0)) return nullptr;
+  fb.combine_ = FlatBackend::Combine::kSingle;
+  return add_base(fb, model, 1.0);
+}
+
+std::unique_ptr<FlatBackend> try_build_flat(const Classifier& model) {
+  auto fb = std::make_unique<FlatBackend>();
+  if (!add_members(*fb, model) || !fb->finish()) return nullptr;
   return fb;
 }
 

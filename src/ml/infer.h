@@ -4,14 +4,14 @@
 // *prediction* — the path every deployed detector and every grid
 // evaluation sits on. A trained model is lowered once into contiguous
 // "flat" form — packed 16-byte tree nodes with a parallel
-// leaf-probability array, rule lists compiled into a DAG over the same
-// node form (each conjunct's pass edge continues the conjunction, its
-// fail edge jumps to the next rule's entry), ensemble members as
-// offset+weight records — and whole batches of intervals are scored per
-// call with branch-free inner loops (the per-node child select is an
-// indexed load, never a data-dependent branch, and samples walk eight
-// at a time so independent load chains overlap in the pipeline). Full
-// layout and measured numbers: DESIGN §13.
+// leaf-probability array, rule lists as struct-of-arrays conditions
+// evaluated rule-major (every condition of every rule as two-lane compare
+// masks over a transposed tile, the first firing rule selected last),
+// ensemble members as offset+weight records — and whole batches of
+// intervals are scored per call with branch-free inner loops (the
+// per-node child select is an indexed load, never a data-dependent
+// branch, and samples walk eight at a time so independent load chains
+// overlap in the pipeline). Full layout and measured numbers: DESIGN §13.
 //
 // Backends (the AbstractGfxLayer pattern: one API, several engines):
 //

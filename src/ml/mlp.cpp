@@ -14,15 +14,17 @@ double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
 }  // namespace
 
+double Mlp::hidden(std::span<const double> x, std::size_t j) const {
+  double z = b1_[j];
+  const double* w = &w1_[j * nf_];
+  for (std::size_t f = 0; f < nf_; ++f)
+    z += w[f] * (x[f] - mean_[f]) / stdev_[f];
+  return sigmoid(z);
+}
+
 double Mlp::forward(std::span<const double> x, std::vector<double>& hid) const {
   hid.resize(h_);
-  for (std::size_t j = 0; j < h_; ++j) {
-    double z = b1_[j];
-    const double* w = &w1_[j * nf_];
-    for (std::size_t f = 0; f < nf_; ++f)
-      z += w[f] * (x[f] - mean_[f]) / stdev_[f];
-    hid[j] = sigmoid(z);
-  }
+  for (std::size_t j = 0; j < h_; ++j) hid[j] = hidden(x, j);
   double z = b2_;
   for (std::size_t j = 0; j < h_; ++j) z += w2_[j] * hid[j];
   return sigmoid(z);
@@ -112,8 +114,10 @@ void Mlp::train(const Dataset& data) {
 double Mlp::predict_proba(std::span<const double> x) const {
   HMD_REQUIRE_MSG(trained_, "Mlp::train() must be called first");
   HMD_REQUIRE(x.size() == nf_);
-  std::vector<double> hid;
-  return forward(x, hid);
+  // forward()'s output sum in the same j order, without the hidden buffer.
+  double z = b2_;
+  for (std::size_t j = 0; j < h_; ++j) z += w2_[j] * hidden(x, j);
+  return sigmoid(z);
 }
 
 ModelComplexity Mlp::complexity() const {

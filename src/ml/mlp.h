@@ -48,6 +48,8 @@ class Mlp final : public Classifier {
   const std::vector<double>& input_stdev() const { return stdev_; }
 
  private:
+  /// Activation of hidden unit j for raw input x.
+  double hidden(std::span<const double> x, std::size_t j) const;
   double forward(std::span<const double> x, std::vector<double>& hid) const;
 
   std::size_t hidden_;

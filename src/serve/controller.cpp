@@ -109,9 +109,9 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   // Shard s owns hosts h with h mod S == s, ascending; worker w owns
   // shards s with s mod W == w. Per-shard state, the shard's verdict slots
   // and its stage-time slots are touched only by the owning worker, and
-  // tasks reach it tick-ordered through a FIFO queue — that exclusivity
-  // plus ordering is the whole thread-safety story; the join publishes
-  // the results to this thread.
+  // tasks reach it tick-ordered (inline, or through a FIFO queue) — that
+  // exclusivity plus ordering is the whole thread-safety story; the join
+  // publishes a worker thread's results to this thread.
   std::vector<std::vector<std::uint32_t>> shard_hosts(num_shards);
   for (std::uint32_t h = 0; h < hosts; ++h)
     shard_hosts[h % num_shards].push_back(h);
@@ -122,10 +122,14 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     ever_alarmed[s].assign(shard_hosts[s].size(), 0);
   }
 
+  // One worker runs inline on the controller thread; only two or more get
+  // threads and queues.
+  const bool inline_worker = workers == 1;
   std::vector<std::unique_ptr<support::BoundedQueue<Task>>> task_q;
-  for (std::size_t w = 0; w < workers; ++w)
-    task_q.push_back(
-        std::make_unique<support::BoundedQueue<Task>>(cfg.queue_capacity));
+  if (!inline_worker)
+    for (std::size_t w = 0; w < workers; ++w)
+      task_q.push_back(
+          std::make_unique<support::BoundedQueue<Task>>(cfg.queue_capacity));
 
   ServeReport report;
   ServeCounters& counters = report.counters;
@@ -178,58 +182,65 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     }
   };
 
+  // One batch's worker-side work: score it, step the shard's automata,
+  // write the verdict and stage-time slots, tally, and publish completion
+  // for the drift barrier. `pop_us` is when the worker took the batch (for
+  // the inline worker, when the controller finished assembling it).
+  const auto run_batch = [&](const Task& task, double pop_us,
+                             std::vector<double>& scores,
+                             WorkerSums& local) {
+    score_batch(*task.backend, task.rows, scores);
+    const double scored_us = now_us();
+
+    std::vector<core::OnlineState>& st = state[task.shard];
+    std::vector<std::uint8_t>& ever = ever_alarmed[task.shard];
+    ServeVerdict* const tick_verdicts =
+        verdicts.data() + static_cast<std::size_t>(task.tick) * hosts;
+    std::size_t k = 0;  // cursor into the batch's scored rows
+    for (std::size_t i = 0; i < task.outcomes.size(); ++i) {
+      const bool was = st[i].alarmed();
+      core::Verdict v;
+      if (task.outcomes[i] == SampleOutcome::kScored) {
+        const double sc = scores[k++];
+        // Shard windows fill in FIFO tick order by the single owning
+        // worker — the deterministic observation sequence the drift
+        // detector's purity contract rests on.
+        if (drift_on) windows[task.shard].observe(sc);
+        v = st[i].step_score(cfg.online, sc);
+      } else {
+        v = st[i].step_missing(cfg.online);
+      }
+      if (!was && st[i].alarmed()) {
+        ++local.alarms;
+        ever[i] = 1;
+      }
+      const std::uint32_t host = shard_hosts[task.shard][i];
+      tick_verdicts[host] = {task.tick, host, v.score, v.ewma,
+                             task.outcomes[i], v.alarm, v.stale};
+    }
+    ++local.batches;
+    local.scored_rows += k;
+    const double done_us = now_us();
+    stage_us[static_cast<std::size_t>(task.tick) * num_shards + task.shard] =
+        {static_cast<float>(pop_us - task.enqueue_us),
+         static_cast<float>(scored_us - pop_us),
+         static_cast<float>(done_us - scored_us),
+         static_cast<float>(done_us - task.created_us)};
+    if (drift_on) {
+      // Release: publishes this task's window writes to the controller's
+      // barrier (acquire) read.
+      completed.fetch_add(1, std::memory_order_release);
+      completed.notify_all();
+    }
+  };
+
   std::vector<std::thread> pool;
-  for (std::size_t w = 0; w < workers; ++w) {
+  for (std::size_t w = 0; w < task_q.size(); ++w) {
     pool.emplace_back([&, w] {
       std::vector<double> scores;
       WorkerSums local;
-      while (std::optional<Task> t = task_q[w]->pop()) {
-        const double pop_us = now_us();
-        const Task& task = *t;
-        score_batch(*task.backend, task.rows, scores);
-        const double scored_us = now_us();
-
-        std::vector<core::OnlineState>& st = state[task.shard];
-        std::vector<std::uint8_t>& ever = ever_alarmed[task.shard];
-        ServeVerdict* const tick_verdicts =
-            verdicts.data() + static_cast<std::size_t>(task.tick) * hosts;
-        std::size_t k = 0;  // cursor into the batch's scored rows
-        for (std::size_t i = 0; i < task.outcomes.size(); ++i) {
-          const bool was = st[i].alarmed();
-          core::Verdict v;
-          if (task.outcomes[i] == SampleOutcome::kScored) {
-            const double sc = scores[k++];
-            // Shard windows fill in FIFO tick order by the single owning
-            // worker — the deterministic observation sequence the drift
-            // detector's purity contract rests on.
-            if (drift_on) windows[task.shard].observe(sc);
-            v = st[i].step_score(cfg.online, sc);
-          } else {
-            v = st[i].step_missing(cfg.online);
-          }
-          if (!was && st[i].alarmed()) {
-            ++local.alarms;
-            ever[i] = 1;
-          }
-          const std::uint32_t host = shard_hosts[task.shard][i];
-          tick_verdicts[host] = {task.tick, host, v.score, v.ewma,
-                                 task.outcomes[i], v.alarm, v.stale};
-        }
-        ++local.batches;
-        local.scored_rows += k;
-        const double done_us = now_us();
-        stage_us[static_cast<std::size_t>(task.tick) * num_shards +
-                 task.shard] = {static_cast<float>(pop_us - task.enqueue_us),
-                                static_cast<float>(scored_us - pop_us),
-                                static_cast<float>(done_us - scored_us),
-                                static_cast<float>(done_us - task.created_us)};
-        if (drift_on) {
-          // Release: publishes this task's window writes to the
-          // controller's barrier (acquire) read.
-          completed.fetch_add(1, std::memory_order_release);
-          completed.notify_all();
-        }
-      }
+      while (std::optional<Task> t = task_q[w]->pop())
+        run_batch(*t, now_us(), scores, local);
       sums[w] = local;
     });
   }
@@ -288,6 +299,11 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   std::thread retrain_thread;
   double barrier_us = 0.0;
 
+  // The batch under assembly. The inline worker leaves its buffers in
+  // place, so steady-state assembly reuses their capacity; a queued task
+  // takes them along.
+  Task task;
+  std::vector<double> inline_scores;
   for (std::uint32_t tick = 0; tick < ticks; ++tick) {
     // Hot-swap at the scheduled virtual tick: every batch from this tick
     // on scores with the refreshed model. The join is the only place the
@@ -309,10 +325,11 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     for (std::uint32_t s = 0; s < num_shards; ++s) {
       const double t0 = now_us();
       const std::vector<std::uint32_t>& members = shard_hosts[s];
-      std::vector<double> rows;
+      std::vector<double>& rows = task.rows;
+      rows.clear();
       rows.reserve(members.size() * nf);
-      std::vector<SampleOutcome> outcomes(members.size(),
-                                          SampleOutcome::kScored);
+      std::vector<SampleOutcome>& outcomes = task.outcomes;
+      outcomes.assign(members.size(), SampleOutcome::kScored);
       for (std::size_t i = 0; i < members.size(); ++i) {
         const std::uint32_t h = members[i];
         if (sample_dropped(fleet, h, tick)) {
@@ -343,16 +360,17 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
         }
       }
 
-      Task task;
       task.tick = tick;
       task.shard = s;
       task.backend = current_backend;
-      task.rows = std::move(rows);
-      task.outcomes = std::move(outcomes);
       task.created_us = t0;
       gen_stats.add(now_us() - t0);
       task.enqueue_us = now_us();
       ++dispatched;
+      if (inline_worker) {
+        run_batch(task, task.enqueue_us, inline_scores, sums[0]);
+        continue;
+      }
       const std::size_t w = s % workers;
       if (!task_q[w]->try_push(task)) {
         ++stalls;  // backpressure: a full queue stalls the controller

@@ -15,16 +15,22 @@
 // Pipeline stages and roles:
 //
 //   controller (1 thread)  — per tick: token-bucket admission (explicit
-//     shed accounting), drop simulation, batch assembly; pushes batches to
-//     per-worker BoundedQueues (backpressure: a full queue stalls the
-//     controller, counted, never dropped).
-//   workers (N threads)    — own a fixed partition of shards (shard
+//     shed accounting), drop simulation, batch assembly; hands each batch
+//     to its worker.
+//   workers (N)            — own a fixed partition of shards (shard
 //     s -> worker s mod N): score the batch (one batched call, or
 //     row-by-row in the unbatched A/B mode), step the shard's per-host
 //     EWMA/alarm/staleness automata in tick order, and write each verdict
 //     straight into its (tick, host) slot of the preallocated stream and
 //     the batch's stage times into its (tick, shard) slot. Every slot has
 //     one owning worker, so the join is the only synchronisation.
+//
+// One per-batch function is the worker, with two dispatchers. At N = 1
+// the controller calls it inline, right after assembling the batch: no
+// worker thread, no queue, no hand-off, and a batch's verdicts are out as
+// soon as it is scored. At N >= 2 each worker is a thread fed through its
+// own BoundedQueue (backpressure: a full queue stalls the controller,
+// counted, never dropped).
 //
 // After the join, run_fleet folds the stage times into the P^2 latency
 // estimators (serve/quantile.h) in (tick, shard) order and sums each
@@ -51,16 +57,18 @@
 namespace hmd::serve {
 
 struct ServeConfig {
-  /// Worker threads (scoring/stepping); 0 = auto via resolve_threads().
-  /// Clamped to the shard count. The controller thread is additional but
+  /// Workers (scoring/stepping); 0 = auto via resolve_threads(). Clamped
+  /// to the shard count. One worker runs inline on the controller thread;
+  /// two or more each get a thread of their own, and the controller then
   /// never touches detector state or scores.
   std::size_t threads = 1;
   /// Host shards; 0 = auto: max(1, hosts / 32). The auto value depends
   /// only on the fleet, never on the worker count — shard boundaries are
   /// part of the deterministic domain.
   std::size_t shards = 0;
-  /// Per-worker task queue depth, in batches. A full queue blocks the
-  /// controller (backpressure); stalls are counted in ServeTiming.
+  /// Per-worker task queue depth, in batches. Queues exist only with two
+  /// or more workers (one runs inline). A full queue blocks the controller
+  /// (backpressure); stalls are counted in ServeTiming.
   std::size_t queue_capacity = 8;
   /// true: one predict_proba_batch call per shard batch (the point of the
   /// serving layer). false: the A/B baseline — identical pipeline, but
@@ -145,11 +153,12 @@ struct ServeTiming {
   double wall_ms = 0.0;
   double intervals_per_sec = 0.0;  ///< offered / wall seconds
   LatencyStats gen;    ///< controller: emit + admission + batch assembly
-  LatencyStats queue;  ///< task wait in the worker queue
+  LatencyStats queue;  ///< task wait in the worker queue (~0 inline)
   LatencyStats score;  ///< batch scoring
   LatencyStats step;   ///< per-host state stepping + verdict emit
   LatencyStats e2e;    ///< batch assembly start -> verdicts emitted
   std::uint64_t backpressure_stalls = 0;  ///< controller blocked on a queue
+                                          ///< (always 0 with one worker)
   double retrain_ms = 0.0;    ///< background retrain wall time
   double swap_wait_ms = 0.0;  ///< controller blocked at the swap tick
   double barrier_ms = 0.0;    ///< total pipeline-drain wait at drift checks

@@ -364,9 +364,12 @@ TEST(ServeDrift, TriggerRetrainAndSwapAreDeterministicAcrossThreads) {
   serve::ServeConfig one = drift_config();
   serve::ServeConfig three = drift_config();
   three.threads = 3;
+  // One worker runs inline on the controller thread, three run threaded:
+  // the hot-swap must land identically on both pipelines.
   const auto a = serve::run_fleet(fleet, one);
   const auto b = serve::run_fleet(fleet, three);
   expect_same_reports(a, b);
+  EXPECT_EQ(a.timing.backpressure_stalls, 0u);
 
   const serve::ServeCounters& c = a.counters;
   EXPECT_EQ(c.campaign_hosts, 15u);

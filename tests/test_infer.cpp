@@ -8,13 +8,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "analysis/fixed_backend.h"
 #include "analysis/hls_checker.h"
 #include "analysis/model_ir.h"
 #include "core/online.h"
+#include "ml/adaboost.h"
+#include "ml/bagging.h"
 #include "ml/classifier.h"
 #include "ml/infer.h"
 #include "ml/j48.h"
@@ -192,6 +197,79 @@ TEST(Infer, SingleClassRuleListUsesDefaultOnly) {
   const auto backend = make_backend(rip, InferBackendKind::kFlat);
   EXPECT_EQ(backend->name(), "flat");
   expect_backends_identical(rip, data);
+}
+
+/// The JRip members of a General/AdaBoost/Bagging JRip detector.
+std::vector<const JRip*> jrip_members(const Classifier& model) {
+  if (const auto* rip = dynamic_cast<const JRip*>(&model)) return {rip};
+  std::vector<const JRip*> out;
+  const auto add = [&](const Classifier& m) {
+    out.push_back(&dynamic_cast<const JRip&>(m));
+  };
+  if (const auto* boost = dynamic_cast<const AdaBoostM1*>(&model)) {
+    for (std::size_t m = 0; m < boost->num_members(); ++m)
+      add(boost->member(m));
+  } else {
+    const auto& bag = dynamic_cast<const Bagging&>(model);
+    for (std::size_t m = 0; m < bag.num_members(); ++m) add(bag.member(m));
+  }
+  return out;
+}
+
+TEST(Infer, JRipNonFiniteRowsMatchScalar) {
+  // A NaN fails both `<=` and `>=` in the scalar decision list; +-inf and
+  // the threshold itself (and its ulp neighbours) sit on the comparison
+  // boundaries. The flat engine must agree on every one of them.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const auto data = gaussian_blobs(60, 3, 1, 1.0, 29);
+  const std::size_t nf = data.num_features();
+  for (EnsembleKind ens : all_ensemble_kinds()) {
+    SCOPED_TRACE(ensemble_kind_name(ens));
+    const auto clf = make_detector(ClassifierKind::kJRip, ens, 7);
+    clf->train(data);
+    ASSERT_EQ(make_backend(*clf, InferBackendKind::kFlat)->name(), "flat");
+
+    std::vector<std::pair<std::size_t, double>> probes;
+    for (const JRip* rip : jrip_members(*clf))
+      for (const JRip::Rule& rule : rip->rules())
+        for (const JRip::Condition& c : rule.conditions)
+          for (double v : {c.value, std::nextafter(c.value, -kInf),
+                           std::nextafter(c.value, kInf)})
+            probes.emplace_back(c.feature, v);
+    ASSERT_FALSE(probes.empty());
+    for (std::size_t f = 0; f < nf; ++f)
+      for (double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf})
+        probes.emplace_back(f, v);
+
+    Dataset rows(data.feature_names());
+    for (std::size_t i = 0; i < data.num_rows(); i += 5) {
+      const auto base = data.row(i);
+      for (const auto& [f, v] : probes) {
+        std::vector<double> x(base.begin(), base.end());
+        x[f] = v;
+        rows.add_row(x, 0, 1.0, i);
+      }
+      // Every feature non-finite at once.
+      rows.add_row(std::vector<double>(nf, std::nan("")), 0, 1.0, i);
+    }
+    expect_backends_identical(*clf, rows);
+  }
+}
+
+TEST(Infer, WideRuleModelStaysBitIdentical) {
+  // Rule members testing more than 16 distinct features shrink the scoring
+  // tile below 128 rows (the per-tile feature transpose has a fixed
+  // budget); batches of several tiles and a ragged tail must still match.
+  const auto data = gaussian_blobs(150, 30, 10, 6.0, 37);
+  const auto clf =
+      make_detector(ClassifierKind::kJRip, EnsembleKind::kBagging, 7);
+  clf->train(data);
+  std::set<std::size_t> tested;
+  for (const JRip* rip : jrip_members(*clf))
+    for (const JRip::Rule& rule : rip->rules())
+      for (const JRip::Condition& c : rule.conditions) tested.insert(c.feature);
+  ASSERT_GT(tested.size(), 16u);
+  expect_backends_identical(*clf, data);
 }
 
 // ---------------------------------------------------------------------------

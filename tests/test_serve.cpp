@@ -528,6 +528,8 @@ void expect_same_verdicts(const std::vector<serve::ServeVerdict>& a,
 
 TEST(ServeFleet, BitIdenticalAcrossWorkerCounts) {
   const serve::FleetSetup& fleet = shared_fleet();
+  // The reference runs the single worker inline on the controller thread;
+  // every other count runs the threaded, queued pipeline.
   const auto ref = serve::run_fleet(fleet, base_config());
   // 8 workers exceeds the 5 shards: the worker count clamps to 5.
   for (const unsigned threads : {1U, 2U, 3U, 5U, 8U}) {
@@ -538,6 +540,25 @@ TEST(ServeFleet, BitIdenticalAcrossWorkerCounts) {
     expect_same_counters(ref.counters, r.counters);
     expect_same_verdicts(ref.verdicts, r.verdicts);
     // Every completed batch contributes one sample to every stage.
+    const serve::ServeTiming& t = r.timing;
+    for (const serve::LatencyStats* s :
+         {&t.gen, &t.queue, &t.score, &t.step, &t.e2e})
+      EXPECT_EQ(s->count(), r.counters.batches);
+  }
+}
+
+TEST(ServeFleet, SingleWorkerRunsInlineWithoutQueueing) {
+  const serve::FleetSetup& fleet = shared_fleet();
+  serve::ServeConfig cfg = base_config();
+  // A one-slot queue would stall a threaded controller on most batches;
+  // the inline worker has no queue to fill.
+  cfg.queue_capacity = 1;
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched);
+    cfg.batched = batched;
+    const auto r = serve::run_fleet(fleet, cfg);
+    EXPECT_EQ(r.timing.backpressure_stalls, 0u);
+    EXPECT_EQ(r.counters.batches, 36u * 5u);
     const serve::ServeTiming& t = r.timing;
     for (const serve::LatencyStats* s :
          {&t.gen, &t.queue, &t.score, &t.step, &t.e2e})
@@ -648,36 +669,41 @@ TEST(ServeFleet, AdmissionShedsDeterministicallyUnderOverload) {
 // The no-allocation contract on the steady-state observe() path.
 
 TEST(OnlineDetectorAllocation, SteadyStateObserveDoesNotAllocate) {
-  auto trained = ml::make_detector(ml::ClassifierKind::kJRip,
-                                   ml::EnsembleKind::kBagging, 7);
-  trained->train(testutil::gaussian_blobs(40, 3, 1, 0.8, 11));
-  std::shared_ptr<const ml::Classifier> model = std::move(trained);
-  const std::vector<sim::Event> events = {
-      sim::Event::kCpuCycles, sim::Event::kInstructions,
-      sim::Event::kCacheMisses, sim::Event::kBranchMisses};
-  core::OnlineDetector detector(model, events);
+  // The flat engine (Bagging(JRip)) and the generic fallback over a
+  // scalar model (MLP) both score without touching the heap.
+  for (const ml::ClassifierKind kind :
+       {ml::ClassifierKind::kJRip, ml::ClassifierKind::kMlp}) {
+    SCOPED_TRACE(ml::classifier_kind_name(kind));
+    auto trained = ml::make_detector(kind, ml::EnsembleKind::kBagging, 7);
+    trained->train(testutil::gaussian_blobs(40, 3, 1, 0.8, 11));
+    std::shared_ptr<const ml::Classifier> model = std::move(trained);
+    const std::vector<sim::Event> events = {
+        sim::Event::kCpuCycles, sim::Event::kInstructions,
+        sim::Event::kCacheMisses, sim::Event::kBranchMisses};
+    core::OnlineDetector detector(model, events);
 
-  std::vector<sim::EventCounts> samples(8);
-  Rng rng(5);
-  for (auto& counts : samples)
-    for (sim::Event e : events)
-      counts[e] = 1000 + static_cast<std::uint64_t>(rng.uniform() * 4096.0);
+    std::vector<sim::EventCounts> samples(8);
+    Rng rng(5);
+    for (auto& counts : samples)
+      for (sim::Event e : events)
+        counts[e] = 1000 + static_cast<std::uint64_t>(rng.uniform() * 4096.0);
 
-  // Warm up: first observes may touch lazily-sized buffers.
-  for (std::size_t i = 0; i < 4; ++i) detector.observe(samples[i]);
+    // Warm up: first observes may touch lazily-sized buffers.
+    for (std::size_t i = 0; i < 4; ++i) detector.observe(samples[i]);
 
-  const std::uint64_t before = heap_allocs();
-  double ewma = 0.0;
-  for (std::size_t i = 0; i < 200; ++i)
-    ewma = detector.observe(samples[i % samples.size()]).ewma;
-  const std::uint64_t after = heap_allocs();
-  EXPECT_EQ(after, before) << "observe() allocated on the steady-state path";
-  EXPECT_GE(ewma, 0.0);  // keep the loop's result observable
+    const std::uint64_t before = heap_allocs();
+    double ewma = 0.0;
+    for (std::size_t i = 0; i < 200; ++i)
+      ewma = detector.observe(samples[i % samples.size()]).ewma;
+    const std::uint64_t after = heap_allocs();
+    EXPECT_EQ(after, before) << "observe() allocated on the steady-state path";
+    EXPECT_GE(ewma, 0.0);  // keep the loop's result observable
 
-  // observe_missing is pure automaton stepping: also allocation-free.
-  const std::uint64_t before_missing = heap_allocs();
-  for (int i = 0; i < 50; ++i) detector.observe_missing();
-  EXPECT_EQ(heap_allocs(), before_missing);
+    // observe_missing is pure automaton stepping: also allocation-free.
+    const std::uint64_t before_missing = heap_allocs();
+    for (int i = 0; i < 50; ++i) detector.observe_missing();
+    EXPECT_EQ(heap_allocs(), before_missing);
+  }
 }
 
 }  // namespace
