@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <limits>
 #include <optional>
 #include <string>
@@ -329,6 +330,16 @@ inline void write_grid_bench_json(const GridBenchReport& report,
   std::fprintf(stderr, "[%s] wrote %s (%zu cells, %zu threads, %.1f cells/s)\n",
                report.bench, path, report.cells, report.threads,
                cells_per_sec);
+}
+
+/// CPU time charged to the calling thread, in seconds. Unlike wall time it
+/// leaves out the time the thread was not running, which a co-tenant's
+/// load on a shared host otherwise adds to a measurement.
+inline double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 inline std::string pct(double v, int precision = 1) {

@@ -17,15 +17,14 @@ Bagging::Bagging(std::unique_ptr<Classifier> prototype, std::size_t bags,
 
 void Bagging::train(const Dataset& data) {
   HMD_REQUIRE(data.num_rows() > 0);
-  members_.clear();
-  Rng rng(seed_);
+  const Rng rng(seed_);
+  std::vector<Dataset> samples;
+  samples.reserve(bags_);
   for (std::size_t b = 0; b < bags_; ++b) {
     Rng bag_rng = rng.fork(b);
-    const Dataset sample = data.bootstrap(bag_rng);
-    auto model = prototype_->clone_untrained();
-    model->train(sample);
-    members_.push_back(std::move(model));
+    samples.push_back(data.bootstrap(bag_rng));
   }
+  members_ = prototype_->train_replicas(samples);
   trained_ = true;
 }
 

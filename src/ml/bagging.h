@@ -6,6 +6,11 @@
 // replacement); prediction averages the members' class probabilities.
 // Bagging suits the low-bias/high-variance base learners (trees, rules)
 // the paper highlights.
+//
+// train() draws every bootstrap first (bag b from rng.fork(b)), then hands
+// them all to the prototype's train_replicas(): most learners train the
+// members one after another, while Mlp trains them together in SIMD lanes,
+// to the same bits.
 #pragma once
 
 #include <memory>

@@ -73,6 +73,22 @@ class Classifier {
   /// ensemble meta-learners to spawn base models).
   virtual std::unique_ptr<Classifier> clone_untrained() const = 0;
 
+  /// One trained model per sample: element i is clone_untrained() trained
+  /// on samples[i]. Bagging trains its bootstrap members through this. The
+  /// default does exactly that, one sample after another; a learner
+  /// overrides it when it can train the replicas together, faster and to
+  /// the same bits (Mlp trains them in lockstep, one member per SIMD lane).
+  virtual std::vector<std::unique_ptr<Classifier>> train_replicas(
+      std::span<const Dataset> samples) const {
+    std::vector<std::unique_ptr<Classifier>> models;
+    models.reserve(samples.size());
+    for (const Dataset& sample : samples) {
+      models.push_back(clone_untrained());
+      models.back()->train(sample);
+    }
+    return models;
+  }
+
   /// Display name (WEKA spelling: "J48", "JRip", "SMO", ...).
   virtual std::string name() const = 0;
 

@@ -1,12 +1,14 @@
 #include "ml/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <set>
 
 #include "support/check.h"
+#include "support/stats.h"
 
 namespace hmd::ml {
 
@@ -319,6 +321,24 @@ Split stratified_group_split(const Dataset& data, double train_frac,
   }
   HMD_INVARIANT(!train_rows.empty());
   return Split{data.subset(train_rows), data.subset(test_rows)};
+}
+
+Standardization standardization(const Dataset& data) {
+  const std::size_t nf = data.num_features();
+  Standardization st{std::vector<double>(nf), std::vector<double>(nf)};
+  std::vector<double> scratch;
+  for (std::size_t f = 0; f < nf; ++f) {
+    const std::span<const double> col = data.column_view(f, scratch);
+    const double m = mean(col);
+    const double sd = stddev(col);
+    HMD_REQUIRE_MSG(std::isfinite(m) && std::isfinite(sd),
+                    "feature '" + data.feature_name(f) +
+                        "' has a non-finite mean or stdev (NaN or infinite "
+                        "training values)");
+    st.mean[f] = m;
+    st.stdev[f] = sd > 1e-12 ? sd : 1.0;
+  }
+  return st;
 }
 
 std::vector<std::vector<std::size_t>> stratified_row_folds(const Dataset& data,

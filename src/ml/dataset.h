@@ -236,6 +236,18 @@ struct Split {
 /// training; every row of a held-out app goes to test.
 Split stratified_group_split(const Dataset& data, double train_frac, Rng& rng);
 
+/// Per-feature input standardisation of the MLP, SGD and SMO learners: the
+/// mean and sample standard deviation of every column of `data`, with the
+/// stdev of a (near-)constant column (≤ 1e-12) replaced by 1. Throws
+/// PreconditionError naming the feature when its mean or stdev is not
+/// finite: one NaN or infinity in a training column would otherwise turn
+/// every trained weight into NaN, and every prediction into a silent 0.
+struct Standardization {
+  std::vector<double> mean;
+  std::vector<double> stdev;
+};
+Standardization standardization(const Dataset& data);
+
 /// K roughly equal folds of *rows* (stratified by label) for internal
 /// grow/prune splits inside classifiers (REPTree, JRip).
 std::vector<std::vector<std::size_t>> stratified_row_folds(const Dataset& data,

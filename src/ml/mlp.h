@@ -7,6 +7,15 @@
 // (WEKA's 500; we default to 300 which converges on these datasets).
 // Instance weights scale the per-sample gradient, so the model composes
 // with AdaBoost re-weighting.
+//
+// Training runs through one kernel templated on a lane count L: L models
+// train in lockstep, one per SIMD lane, each on its own sample. train() is
+// the 1-lane instance; train_replicas() (Bagging's members) runs groups of
+// 8, 4, 2 and 1 lanes. Replicas share the seed and the row count, so every
+// lane draws the same initial weights and epoch permutations, and each
+// lane performs a 1-lane run's floating-point operations in the same
+// order: a member trained in a lane is bit-identical to the same member
+// trained alone. See DESIGN.md §18.
 #pragma once
 
 #include <vector>
@@ -27,6 +36,10 @@ class Mlp final : public Classifier {
         seed_(seed) {}
 
   void train(const Dataset& data) override;
+  /// Lockstep training of one replica per sample. Requires every sample to
+  /// have the same row and feature counts (they share one permutation).
+  std::vector<std::unique_ptr<Classifier>> train_replicas(
+      std::span<const Dataset> samples) const override;
   double predict_proba(std::span<const double> x) const override;
   std::unique_ptr<Classifier> clone_untrained() const override {
     return std::make_unique<Mlp>(hidden_, learning_rate_, momentum_, epochs_,
@@ -50,7 +63,10 @@ class Mlp final : public Classifier {
  private:
   /// Activation of hidden unit j for raw input x.
   double hidden(std::span<const double> x, std::size_t j) const;
-  double forward(std::span<const double> x, std::vector<double>& hid) const;
+  /// The training kernel: models[l] (untrained clones sharing these
+  /// hyper-parameters) is fitted to samples[l], for l < L, in lockstep.
+  template <std::size_t L>
+  static void train_lanes(const Dataset* samples, Mlp* const* models);
 
   std::size_t hidden_;
   double learning_rate_;

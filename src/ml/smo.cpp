@@ -5,22 +5,16 @@
 
 #include "support/check.h"
 #include "support/rng.h"
-#include "support/stats.h"
 
 namespace hmd::ml {
 
 void Smo::train(const Dataset& data) {
   HMD_REQUIRE(data.num_rows() > 0);
   const std::size_t n = data.num_rows();
+  Standardization st = standardization(data);
   nf_ = data.num_features();
-  mean_.assign(nf_, 0.0);
-  stdev_.assign(nf_, 1.0);
-  for (std::size_t f = 0; f < nf_; ++f) {
-    const auto col = data.column(f);
-    mean_[f] = mean(col);
-    const double sd = stddev(col);
-    stdev_[f] = sd > 1e-12 ? sd : 1.0;
-  }
+  mean_ = std::move(st.mean);
+  stdev_ = std::move(st.stdev);
 
   // Standardized design matrix (kept dense: corpora here are modest).
   std::vector<double> xmat(n * nf_);
