@@ -114,6 +114,7 @@ BenchCell evaluate_cell(const core::ExperimentContext& ctx,
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::check_args(argc, argv, {"--out P"});
   const auto cfg = benchutil::config_from_args(argc, argv);
   const char* out_path = "BENCH_adversarial.json";
   for (int i = 1; i < argc; ++i) {

@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace hmd;
+  benchutil::check_args(argc, argv);
   const auto cfg = benchutil::config_from_args(argc, argv);
   const auto ctx = benchutil::prepare(cfg, "ablation_ensemble");
 

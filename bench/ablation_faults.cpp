@@ -45,6 +45,7 @@ hmd::hpc::FaultConfig faults_at(double rate, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace hmd;
+  benchutil::check_args(argc, argv);
   const auto cfg = benchutil::config_from_args(argc, argv);
   const std::uint64_t fault_seed = cfg.capture.faults.seed;
 

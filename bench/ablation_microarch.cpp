@@ -31,6 +31,7 @@ core::ExperimentContext capture_on(core::ExperimentConfig cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::check_args(argc, argv);
   const auto cfg = benchutil::config_from_args(argc, argv);
 
   struct MachineCase {

@@ -28,12 +28,14 @@
 //                    rounded up; a length past 2^32-1 ticks exits 2)
 //   --out P          JSON report path
 //
-// CLI error contract: an unknown value for any of these flags, a numeric
-// value that is negative or overflows its type, or a flag that names a
-// value but sits last on the command line, reports the problem on stderr
-// and exits 2 — flags are never silently ignored or clamped.
+// CLI error contract: an unknown flag (check_args), an unknown value for
+// any of these flags, a numeric value that is negative or overflows its
+// type, or a flag that names a value but sits last on the command line,
+// reports the problem on stderr and exits 2 — flags are never silently
+// ignored or clamped. --help prints the binary's usage line and exits 0.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cctype>
@@ -41,9 +43,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/hmd.h"
 #include "hpc/faults.h"
@@ -67,6 +73,58 @@ inline core::ExperimentConfig quick_config() {
   cfg.corpus.malware_per_template = 2;
   cfg.corpus.intervals_per_app = 10;
   return cfg;
+}
+
+/// Flags as the usage line spells them: "--seed N" takes a value,
+/// "--quick" takes none. These are the ones config_from_args parses ...
+inline constexpr std::string_view kExperimentFlags[] = {
+    "--quick",        "--seed N",         "--threads N", "--faults P",
+    "--fault-seed N", "--checkpoint DIR", "--resume",    "--backend B"};
+/// ... and these the ones serve_args parses.
+inline constexpr std::string_view kServeFlags[] = {"--hosts N",
+                                                   "--duration-ms N",
+                                                   "--out P"};
+
+/// Accept the command line only if every token is a known flag of this
+/// binary or the value of one; otherwise report the first stranger, print
+/// the usage line and exit 2. --help prints the usage line and exits 0.
+/// Known flags are kExperimentFlags, kServeFlags when `serving`, and the
+/// binary's own `extra` flags. A valued flag sitting last is left to
+/// flag_value to report.
+inline void check_args(int argc, char** argv,
+                       std::initializer_list<std::string_view> extra = {},
+                       bool serving = false) {
+  std::vector<std::string_view> known(std::begin(kExperimentFlags),
+                                      std::end(kExperimentFlags));
+  if (serving)
+    known.insert(known.end(), std::begin(kServeFlags), std::end(kServeFlags));
+  known.insert(known.end(), extra);
+  const auto usage = [&](std::FILE* to) {
+    std::string_view prog = argv[0];
+    prog.remove_prefix(prog.rfind('/') + 1);  // npos + 1 == 0: no slash
+    std::fprintf(to, "usage: %.*s", static_cast<int>(prog.size()),
+                 prog.data());
+    for (const std::string_view flag : known)
+      std::fprintf(to, " [%.*s]", static_cast<int>(flag.size()), flag.data());
+    std::fprintf(to, "\n");
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      usage(stdout);
+      std::exit(0);
+    }
+    const auto it =
+        std::find_if(known.begin(), known.end(), [arg](std::string_view f) {
+          return f.substr(0, f.find(' ')) == arg;
+        });
+    if (it == known.end()) {
+      std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
+      usage(stderr);
+      std::exit(2);
+    }
+    if (it->find(' ') != std::string_view::npos) ++i;  // skip its value
+  }
 }
 
 /// The value of a flag that requires one. A value-taking flag as the last

@@ -20,9 +20,10 @@
 // BENCH_drift.json reports the phase accuracies (pre-onset, post-onset,
 // post-refresh tail for both runs), the detection lag in ticks, the
 // recovery fraction (how much of the erosion the refresh won back), and
-// the refresh cost (retrain wall-clock, swap wait, harvested rows). The
-// bench exits 1 if the trigger never fires or the swap never lands —
-// detection and refresh are the contract, not best-effort.
+// the refresh cost (retrain wall-clock, swap wait and its share of the
+// retrain, harvested rows). The bench exits 1 if the trigger never fires
+// or the swap never lands — detection and refresh are the contract, not
+// best-effort.
 //
 // Flags (beyond the shared --quick/--seed/--threads/--backend set):
 //   --hosts N           fleet size          (default 600; 160 in --quick)
@@ -78,6 +79,8 @@ void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::check_args(argc, argv, {"--verdicts P", "--checkpoint-dir P"},
+                        /*serving=*/true);
   const core::ExperimentConfig exp = benchutil::config_from_args(argc, argv);
   bool quick = false;
   const char* verdict_path = nullptr;
@@ -185,13 +188,20 @@ int main(int argc, char** argv) {
                "[drift] accuracy: pre %.4f -> post-onset %.4f -> tail "
                "frozen %.4f vs refreshed %.4f (recovery %.2f)\n",
                pre, post_onset, frozen_tail, post_refresh, recovery);
+  // The share of the retrain the controller spent blocked at the swap
+  // tick: how far the retrain is from being off the serving path.
+  const double swap_wait_frac =
+      run_adaptive.timing.retrain_ms > 0.0
+          ? run_adaptive.timing.swap_wait_ms / run_adaptive.timing.retrain_ms
+          : 0.0;
   std::fprintf(stderr,
                "[drift] refresh cost: retrain %.0f ms (%llu base + %llu "
-               "window rows), swap wait %.1f ms, barriers %.1f ms\n",
+               "window rows), swap wait %.1f ms (%.0f%% of the retrain), "
+               "barriers %.1f ms\n",
                run_adaptive.timing.retrain_ms,
                static_cast<unsigned long long>(c.retrain_base_rows),
                static_cast<unsigned long long>(c.retrain_window_rows),
-               run_adaptive.timing.swap_wait_ms,
+               run_adaptive.timing.swap_wait_ms, 100.0 * swap_wait_frac,
                run_adaptive.timing.barrier_ms);
 
   if (verdict_path != nullptr)
@@ -231,10 +241,12 @@ int main(int argc, char** argv) {
   std::fprintf(
       f,
       "  \"refresh\": {\"swapped\": %s, \"swap_tick\": %u, "
-      "\"retrain_ms\": %.1f, \"swap_wait_ms\": %.1f, \"barrier_ms\": %.1f, "
+      "\"retrain_ms\": %.1f, \"swap_wait_ms\": %.1f, "
+      "\"swap_wait_frac\": %.3f, \"barrier_ms\": %.1f, "
       "\"base_rows\": %llu, \"window_rows\": %llu, \"checkpointed\": %s},\n",
       swapped ? "true" : "false", swap_tick, run_adaptive.timing.retrain_ms,
-      run_adaptive.timing.swap_wait_ms, run_adaptive.timing.barrier_ms,
+      run_adaptive.timing.swap_wait_ms, swap_wait_frac,
+      run_adaptive.timing.barrier_ms,
       static_cast<unsigned long long>(c.retrain_base_rows),
       static_cast<unsigned long long>(c.retrain_window_rows),
       checkpoint_dir != nullptr ? "true" : "false");

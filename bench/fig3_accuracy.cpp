@@ -15,6 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace hmd;
+  benchutil::check_args(argc, argv);
   const auto cfg = benchutil::config_from_args(argc, argv);
   long long capture_ms = 0;
   const auto ctx = benchutil::prepare(cfg, "fig3", &capture_ms);

@@ -33,6 +33,7 @@ void print_curve(const std::string& label, const core::CellScores& cell) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::check_args(argc, argv);
   using EK = ml::EnsembleKind;
   using CK = ml::ClassifierKind;
   const auto cfg = benchutil::config_from_args(argc, argv);

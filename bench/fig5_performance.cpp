@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace hmd;
+  benchutil::check_args(argc, argv);
   using EK = ml::EnsembleKind;
   using CK = ml::ClassifierKind;
   const auto cfg = benchutil::config_from_args(argc, argv);

@@ -145,6 +145,8 @@ bool tree_ensemble_cell(const Cell& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::check_args(argc, argv,
+                        {"--reps N", "--hpcs N", "--out P", "--only LIST"});
   core::ExperimentConfig cfg = benchutil::config_from_args(argc, argv);
   std::size_t reps = 0;
   std::size_t hpcs = 8;

@@ -136,6 +136,7 @@ void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::check_args(argc, argv, {"--verdicts P"}, /*serving=*/true);
   const core::ExperimentConfig exp = benchutil::config_from_args(argc, argv);
   bool quick = false;
   const char* verdict_path = nullptr;

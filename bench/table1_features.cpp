@@ -28,6 +28,7 @@ constexpr std::array<const char*, 16> kPaperTable1 = {
 
 int main(int argc, char** argv) {
   using namespace hmd;
+  benchutil::check_args(argc, argv);
   const auto cfg = benchutil::config_from_args(argc, argv);
   const auto ctx = benchutil::prepare(cfg, "table1");
 

@@ -38,6 +38,7 @@ const PaperRow* paper_row(std::string_view name) {
 
 int main(int argc, char** argv) {
   using namespace hmd;
+  benchutil::check_args(argc, argv);
   using EK = ml::EnsembleKind;
   const auto cfg = benchutil::config_from_args(argc, argv);
   const auto ctx = benchutil::prepare(cfg, "table3");

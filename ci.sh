@@ -33,9 +33,11 @@
 #      unsuppressed determinism violations over the tree; clang-tidy and a
 #      clang -Wthread-safety build run when those tools are installed and
 #      skip loudly when not (the default container is gcc-only).
-#   8. Serving leg (5): bench/serve --quick runs under TSan (the
-#      controller/worker pipeline is the most lock-dense code in the
-#      tree), then the Release tree proves the determinism contract —
+#   8. Serving leg (5): bench/serve --quick and bench/drift --quick run
+#      under TSan (the controller/worker pipeline is the most lock-dense
+#      code in the tree, and the tick ring's release/acquire counters
+#      carry both the verdict rows and the drift barrier), then the
+#      Release tree proves the determinism contract —
 #      1-thread (inline worker) and 4-thread (queued workers) verdict
 #      streams byte-identical, per-run counters JSON-identical, batched
 #      scoring at least as fast as unbatched, and no backpressure stall
@@ -300,11 +302,15 @@ cmake --build build-ci-tsan -j "${JOBS}"
 
 echo "=== [5] serving pipeline: TSan quick run + determinism contract ==="
 # The sharded controller/worker pipeline under TSan: every lock, queue
-# hand-off, and worker write into the shared verdict and stage-time
-# buffers race-checked on a small fleet.
+# hand-off, and worker write into the tick ring's verdict and stage-time
+# rows race-checked on a small fleet; then the drift run, whose checks,
+# harvest, background retrain and hot-swap ride the same ring counters.
 TSAN_OPTIONS="halt_on_error=1" \
   ./build-ci-tsan/bench/serve --quick --hosts 96 --duration-ms 300 \
     --threads 4 --out build-ci-tsan/BENCH_serve.json
+TSAN_OPTIONS="halt_on_error=1" \
+  ./build-ci-tsan/bench/drift --quick --threads 4 \
+    --out build-ci-tsan/BENCH_drift.json
 # Determinism contract (Release tree): verdict streams byte-identical and
 # counters JSON-identical across worker counts, under a fixed seed.
 (

@@ -68,8 +68,8 @@ struct WorkerSums {
 
 }  // namespace
 
-std::uint64_t verdict_stream_hash(const std::vector<ServeVerdict>& verdicts) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+void VerdictHasher::add(std::span<const ServeVerdict> verdicts) {
+  std::uint64_t h = h_;
   const auto mix = [&h](std::uint64_t v, unsigned bytes) {
     for (unsigned b = 0; b < bytes; ++b) {
       h ^= (v >> (8 * b)) & 0xFFU;
@@ -86,7 +86,13 @@ std::uint64_t verdict_stream_hash(const std::vector<ServeVerdict>& verdicts) {
     mix(std::bit_cast<std::uint64_t>(v.score), 8);
     mix(std::bit_cast<std::uint64_t>(v.ewma), 8);
   }
-  return h;
+  h_ = h;
+}
+
+std::uint64_t verdict_stream_hash(const std::vector<ServeVerdict>& verdicts) {
+  VerdictHasher hasher;
+  hasher.add(verdicts);
+  return hasher.value();
 }
 
 ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
@@ -110,8 +116,9 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   // shards s with s mod W == w. Per-shard state, the shard's verdict slots
   // and its stage-time slots are touched only by the owning worker, and
   // tasks reach it tick-ordered (inline, or through a FIFO queue) — that
-  // exclusivity plus ordering is the whole thread-safety story; the join
-  // publishes a worker thread's results to this thread.
+  // exclusivity plus ordering is the whole thread-safety story. A tick
+  // row's completed-shard counter (release by the worker, acquire by the
+  // controller) publishes the row back to this thread.
   std::vector<std::vector<std::uint32_t>> shard_hosts(num_shards);
   for (std::uint32_t h = 0; h < hosts; ++h)
     shard_hosts[h % num_shards].push_back(h);
@@ -134,21 +141,28 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   ServeReport report;
   ServeCounters& counters = report.counters;
   ServeTiming& timing = report.timing;
-  // The canonical (tick, host) stream: slot tick * hosts + host. Written
-  // in place by the shard's owning worker, so it needs no final sort.
-  std::vector<ServeVerdict> verdicts(static_cast<std::size_t>(hosts) * ticks);
-  // Per-(tick, shard) stage times in µs: queue, score, step, e2e. Folded
-  // into ServeTiming in (tick, shard) order after the join.
-  std::vector<std::array<float, 4>> stage_us(
-      static_cast<std::size_t>(ticks) * num_shards);
+  // The tick ring: tick t owns row t mod R — `hosts` verdict slots
+  // (host-indexed, so a finished row is already in canonical order) and
+  // `num_shards` stage-time slots (µs: queue, score, step, e2e) — plus a
+  // counter of its completed shard batches. The inline worker finishes a
+  // tick before the next is assembled, so one row serves. Queued workers
+  // trail the controller by at most a full queue plus the batch in hand,
+  // so queue_capacity + 2 rows never make it wait longer than
+  // backpressure already does.
+  const std::size_t ring = std::min<std::size_t>(
+      inline_worker ? 1 : cfg.queue_capacity + 2, ticks);
+  std::vector<ServeVerdict> tick_rows(ring * hosts);
+  std::vector<std::array<float, 4>> stage_us(ring * num_shards);
+  std::vector<std::atomic<std::uint32_t>> shards_done(ring);
+  const auto shards_per_tick = static_cast<std::uint32_t>(num_shards);
   std::vector<WorkerSums> sums(workers);
 
   const double t_start = now_us();
 
   // Drift machinery (serve/drift.h). Windows are written by each shard's
-  // owning worker and read by the controller only at pipeline-drain
-  // barriers; `completed` (vs the controller's dispatched count) is the
-  // barrier condition and the happens-before edge for those reads.
+  // owning worker and read by the controller only at drift checks, once
+  // every tick up to the check is complete; the tick rows' counters are
+  // the happens-before edge for those reads.
   const bool drift_on = cfg.drift.enabled;
   std::vector<ShardScoreWindow> windows;
   std::optional<DriftDetector> detector;
@@ -160,7 +174,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       windows.emplace_back(cfg.drift.tail_q);
     detector.emplace(cfg.drift, num_shards);
   }
-  std::atomic<std::uint64_t> completed{0};
 
   // Workers: score whole batches, step the owned shards' automata. The
   // engine comes from the task (the model epoch bound at dispatch), never
@@ -183,9 +196,10 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   };
 
   // One batch's worker-side work: score it, step the shard's automata,
-  // write the verdict and stage-time slots, tally, and publish completion
-  // for the drift barrier. `pop_us` is when the worker took the batch (for
-  // the inline worker, when the controller finished assembling it).
+  // write the verdict and stage-time slots of its tick row, tally, and
+  // count the batch done on that row. `pop_us` is when the worker took the
+  // batch (for the inline worker, when the controller finished assembling
+  // it).
   const auto run_batch = [&](const Task& task, double pop_us,
                              std::vector<double>& scores,
                              WorkerSums& local) {
@@ -194,8 +208,8 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
 
     std::vector<core::OnlineState>& st = state[task.shard];
     std::vector<std::uint8_t>& ever = ever_alarmed[task.shard];
-    ServeVerdict* const tick_verdicts =
-        verdicts.data() + static_cast<std::size_t>(task.tick) * hosts;
+    const std::size_t slot = task.tick % ring;
+    ServeVerdict* const tick_verdicts = tick_rows.data() + slot * hosts;
     std::size_t k = 0;  // cursor into the batch's scored rows
     for (std::size_t i = 0; i < task.outcomes.size(); ++i) {
       const bool was = st[i].alarmed();
@@ -221,17 +235,16 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     ++local.batches;
     local.scored_rows += k;
     const double done_us = now_us();
-    stage_us[static_cast<std::size_t>(task.tick) * num_shards + task.shard] =
-        {static_cast<float>(pop_us - task.enqueue_us),
-         static_cast<float>(scored_us - pop_us),
-         static_cast<float>(done_us - scored_us),
-         static_cast<float>(done_us - task.created_us)};
-    if (drift_on) {
-      // Release: publishes this task's window writes to the controller's
-      // barrier (acquire) read.
-      completed.fetch_add(1, std::memory_order_release);
-      completed.notify_all();
-    }
+    stage_us[slot * num_shards + task.shard] = {
+        static_cast<float>(pop_us - task.enqueue_us),
+        static_cast<float>(scored_us - pop_us),
+        static_cast<float>(done_us - scored_us),
+        static_cast<float>(done_us - task.created_us)};
+    // Release: publishes this batch's verdicts, stage times and window
+    // writes to the controller's acquire in await_tick.
+    if (shards_done[slot].fetch_add(1, std::memory_order_release) + 1 ==
+        shards_per_tick)
+      shards_done[slot].notify_one();
   };
 
   std::vector<std::thread> pool;
@@ -257,7 +270,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   std::uint64_t shed = 0;
   std::uint64_t admitted = 0;
   std::uint64_t stalls = 0;
-  std::uint64_t dispatched = 0;  ///< tasks dispatched, barrier denominator
   LatencyStats gen_stats;
 
   // Model-epoch state. Epoch 0 serves with the fleet's backend; a single
@@ -271,13 +283,44 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   std::uint64_t model_swaps = 0;
   std::uint64_t model_swap_tick = 0;
 
-  // Pipeline-drain barrier: every dispatched batch stepped and its shard
-  // window published. Only used at drift checks.
-  const auto drain_pipeline = [&] {
-    std::uint64_t done = completed.load(std::memory_order_acquire);
-    while (done != dispatched) {
-      completed.wait(done, std::memory_order_acquire);
-      done = completed.load(std::memory_order_acquire);
+  // Tick completion, the pipeline's one synchronisation point: block until
+  // every shard batch of tick t is stepped. Every worker owns a batch of
+  // every tick and runs its batches in tick order, so "t complete" also
+  // means every earlier tick is.
+  const auto await_tick = [&](std::uint32_t t) {
+    std::atomic<std::uint32_t>& done = shards_done[t % ring];
+    std::uint32_t d = done.load(std::memory_order_acquire);
+    while (d != shards_per_tick) {
+      done.wait(d, std::memory_order_acquire);
+      d = done.load(std::memory_order_acquire);
+    }
+  };
+  // Finish ticks [finished, end) in order: await each, hash its row into
+  // the stream hash, record it if asked, fold its stage times into the P²
+  // estimators in shard order, and free its slot for tick + R.
+  VerdictHasher hasher;
+  std::uint32_t finished = 0;
+  if (cfg.record_verdicts)
+    report.verdicts.reserve(static_cast<std::size_t>(hosts) * ticks);
+  const auto finish_ticks = [&](std::uint32_t end) {
+    for (; finished < end; ++finished) {
+      await_tick(finished);
+      const std::size_t slot = finished % ring;
+      const std::span<const ServeVerdict> row(tick_rows.data() + slot * hosts,
+                                              hosts);
+      hasher.add(row);
+      if (cfg.record_verdicts)
+        report.verdicts.insert(report.verdicts.end(), row.begin(), row.end());
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        const std::array<float, 4>& us = stage_us[slot * num_shards + s];
+        timing.queue.add(us[0]);
+        timing.score.add(us[1]);
+        timing.step.add(us[2]);
+        timing.e2e.add(us[3]);
+      }
+      // The next writer of this slot gets its task through a queue (or
+      // inline), which orders this reset before its increments.
+      shards_done[slot].store(0, std::memory_order_relaxed);
     }
   };
 
@@ -366,7 +409,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       task.created_us = t0;
       gen_stats.add(now_us() - t0);
       task.enqueue_us = now_us();
-      ++dispatched;
       if (inline_worker) {
         run_batch(task, task.enqueue_us, inline_scores, sums[0]);
         continue;
@@ -379,12 +421,12 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     }
 
     if (drift_on && (tick + 1) % cfg.drift.check_interval == 0) {
-      // Drift check: drain the pipeline (the acquire on `completed` makes
+      // Drift check: wait for this tick to complete (its acquire makes
       // every worker's window writes visible), evaluate, reset windows for
       // the next interval. The barrier cost is measured-domain; the check
       // verdict is a pure function of the score stream.
       const double b0 = now_us();
-      drain_pipeline();
+      await_tick(tick);
       barrier_us += now_us() - b0;
       const bool fired =
           detector->check(std::span<const ShardScoreWindow>(windows), tick);
@@ -430,8 +472,13 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
             shared->ms = (now_us() - r0) / 1000.0;
           });
     }
+
+    // Free the row tick + 1 is about to take (inline: finish this tick).
+    if (tick + 2 > ring)
+      finish_ticks(static_cast<std::uint32_t>(tick + 2 - ring));
   }
 
+  finish_ticks(ticks);
   for (auto& q : task_q) q->close();
   for (std::thread& t : pool) t.join();
   // A retrain whose swap tick landed past the end of the run (or was
@@ -440,12 +487,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   if (retrain_thread.joinable()) retrain_thread.join();
   const double t_end = now_us();
 
-  for (const std::array<float, 4>& s : stage_us) {
-    timing.queue.add(s[0]);
-    timing.score.add(s[1]);
-    timing.step.add(s[2]);
-    timing.e2e.add(s[3]);
-  }
   for (const WorkerSums& w : sums) {
     counters.batches += w.batches;
     counters.scored_rows += w.scored_rows;
@@ -477,7 +518,7 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     timing.retrain_ms = retrain_shared->ms;
   }
   counters.final_model_epoch = current_epoch;
-  counters.verdict_hash = verdict_stream_hash(verdicts);
+  counters.verdict_hash = hasher.value();
 
   timing.gen = gen_stats;
   timing.wall_ms = (t_end - t_start) / 1000.0;
@@ -488,7 +529,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   timing.backpressure_stalls = stalls;
   timing.barrier_ms = barrier_us / 1000.0;
 
-  if (cfg.record_verdicts) report.verdicts = std::move(verdicts);
   return report;
 }
 

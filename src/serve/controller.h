@@ -20,10 +20,9 @@
 //   workers (N)            — own a fixed partition of shards (shard
 //     s -> worker s mod N): score the batch (one batched call, or
 //     row-by-row in the unbatched A/B mode), step the shard's per-host
-//     EWMA/alarm/staleness automata in tick order, and write each verdict
-//     straight into its (tick, host) slot of the preallocated stream and
-//     the batch's stage times into its (tick, shard) slot. Every slot has
-//     one owning worker, so the join is the only synchronisation.
+//     EWMA/alarm/staleness automata in tick order, write each verdict
+//     straight into its host slot of the tick's row and the batch's stage
+//     times into its shard slot, then count the batch done on that row.
 //
 // One per-batch function is the worker, with two dispatchers. At N = 1
 // the controller calls it inline, right after assembling the batch: no
@@ -32,10 +31,18 @@
 // own BoundedQueue (backpressure: a full queue stalls the controller,
 // counted, never dropped).
 //
-// After the join, run_fleet folds the stage times into the P^2 latency
-// estimators (serve/quantile.h) in (tick, shard) order and sums each
-// worker's batch/row/alarm tallies. The stream is already in canonical
-// (tick, host) order; nothing re-sorts it.
+// Memory is O(hosts), independent of the run length. Verdicts live in a
+// ring of R tick rows (R = 1 inline, queue_capacity + 2 queued), each
+// `hosts` verdicts long, host-indexed, so a finished row is already in
+// canonical (tick, host) order. Each row has a completed-shard counter:
+// the worker's release increment, the controller's acquire wait. Before
+// tick t + 1 takes row (t + 1) mod R, the controller finishes tick
+// t + 1 - R: it waits for the tick, streams the row into the FNV-1a
+// verdict hash (VerdictHasher), appends it to the report if
+// record_verdicts asks, and folds its stage times into the P^2 latency
+// estimators (serve/quantile.h) in shard order. That one wait is also the
+// drift barrier: "tick t complete" means every batch up to t is stepped.
+// After the join, run_fleet sums each worker's batch/row/alarm tallies.
 //
 // Determinism contract (enforced by tests and the ci.sh serve leg): the
 // verdict stream and every field of ServeCounters are bit-identical across
@@ -47,6 +54,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/online.h"
@@ -79,15 +87,16 @@ struct ServeConfig {
   std::uint64_t admit_per_tick = 0;
   /// Bucket (burst) capacity; 0 means admit_per_tick.
   std::uint64_t admit_burst = 0;
-  /// Keep the full verdict stream in the report (hosts × ticks entries).
-  /// The verdict hash is computed either way.
-  bool record_verdicts = true;
+  /// Keep the full verdict stream in the report (hosts × ticks entries,
+  /// the only allocation that grows with the run). Off, serving memory is
+  /// O(hosts); the verdict hash is computed either way.
+  bool record_verdicts = false;
   core::OnlineConfig online{};
   /// Concept-drift detection over the score stream (serve/drift.h).
   /// Disabled by default, which leaves the pipeline byte-identical to the
   /// pre-drift build. When enabled, every check_interval ticks the
-  /// controller drains the pipeline (a barrier) and evaluates the
-  /// detector; all of it stays in the deterministic domain.
+  /// controller waits for the tick to complete (a barrier) and evaluates
+  /// the detector; all of it stays in the deterministic domain.
   DriftDetectorConfig drift{};
   /// What to do when the drift trigger fires: harvest flagged windows,
   /// retrain on a background worker, hot-swap at a fixed virtual tick.
@@ -161,7 +170,7 @@ struct ServeTiming {
                                           ///< (always 0 with one worker)
   double retrain_ms = 0.0;    ///< background retrain wall time
   double swap_wait_ms = 0.0;  ///< controller blocked at the swap tick
-  double barrier_ms = 0.0;    ///< total pipeline-drain wait at drift checks
+  double barrier_ms = 0.0;    ///< total tick-completion wait at drift checks
 };
 
 struct ServeReport {
@@ -177,7 +186,19 @@ struct ServeReport {
 ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg);
 
 /// FNV-1a 64 over the canonical byte serialisation of a (tick, host)-sorted
-/// verdict stream — the cross-thread-count identity witness.
+/// verdict stream — the cross-thread-count identity witness. Fed in
+/// consecutive chunks (run_fleet feeds one tick row at a time), it hashes
+/// the same as the whole stream fed at once.
+class VerdictHasher {
+ public:
+  void add(std::span<const ServeVerdict> verdicts);
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+};
+
+/// VerdictHasher over a whole stream.
 std::uint64_t verdict_stream_hash(const std::vector<ServeVerdict>& verdicts);
 
 /// Fleet accuracy over the tick window [begin_tick, end_tick): the

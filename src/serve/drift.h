@@ -14,7 +14,8 @@
 // Determinism: the trigger is a pure function of the verdict stream.
 // Scores are bit-identical across worker counts (the serving contract),
 // each shard's window is filled by its single owning worker in FIFO tick
-// order, the controller only reads windows at pipeline-drain barriers, and
+// order, the controller only reads windows once the check tick is complete
+// (a pipeline-drain barrier on the controller's tick ring), and
 // the detector walks shards in index order — so the trigger tick, the
 // tripped-shard count, and everything downstream (retrain input, swap
 // tick) land in ServeCounters' deterministic domain, bit-identical across

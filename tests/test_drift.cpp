@@ -391,6 +391,48 @@ TEST(ServeDrift, TriggerRetrainAndSwapAreDeterministicAcrossThreads) {
   EXPECT_GT(a.timing.retrain_ms, 0.0);
 }
 
+// The drift checks wait on the tick ring's completion counters, the same
+// edge that streams the verdict hash. With drift off and with drift on
+// plus refresh, every worker count and queue depth (a ring of 3 or 10
+// rows, wrapped ~30 or ~10 times over 96 ticks) must stream one hash,
+// equal to the recorded stream's and unchanged without recording.
+TEST(ServeDrift, HashAndSwapHoldAcrossWorkersQueueDepthsAndRecording) {
+  const serve::FleetSetup& fleet = shared_drift_fleet();
+  for (const bool drift : {false, true}) {
+    serve::ServeConfig base = drift_config();
+    base.drift.enabled = drift;
+    const auto ref = serve::run_fleet(fleet, base);
+    EXPECT_EQ(serve::verdict_stream_hash(ref.verdicts),
+              ref.counters.verdict_hash);
+    EXPECT_EQ(ref.counters.model_swaps, drift ? 1u : 0u);
+    for (const unsigned threads : {1U, 2U, 3U, 4U}) {
+      for (const std::size_t depth : {1U, 8U}) {
+        for (const bool record : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "drift " << drift << ", " << threads
+                       << " threads, queue " << depth << ", record "
+                       << record);
+          serve::ServeConfig cfg = base;
+          cfg.threads = threads;
+          cfg.queue_capacity = depth;
+          cfg.record_verdicts = record;
+          const auto r = serve::run_fleet(fleet, cfg);
+          if (record) {
+            expect_same_reports(ref, r);
+          } else {
+            EXPECT_TRUE(r.verdicts.empty());
+            EXPECT_EQ(r.counters.verdict_hash, ref.counters.verdict_hash);
+            EXPECT_EQ(r.counters.drift_trigger_tick,
+                      ref.counters.drift_trigger_tick);
+            EXPECT_EQ(r.counters.model_swap_tick,
+                      ref.counters.model_swap_tick);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ServeDrift, DetectionOnlyModeCountsTriggersButNeverSwaps) {
   const serve::FleetSetup& fleet = shared_drift_fleet();
   serve::ServeConfig cfg = drift_config();

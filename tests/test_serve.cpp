@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -624,6 +625,51 @@ TEST(ServeFleet, VerdictStreamIsSortedCompleteAndHashes) {
   const auto r2 = serve::run_fleet(fleet, quiet);
   EXPECT_TRUE(r2.verdicts.empty());
   EXPECT_EQ(r2.counters.verdict_hash, c.verdict_hash);
+}
+
+TEST(VerdictHasher, ChunkedFeedHashesLikeTheWholeStream) {
+  const auto r = serve::run_fleet(shared_fleet(), base_config());
+  const std::span<const serve::ServeVerdict> all(r.verdicts);
+  serve::VerdictHasher chunked;
+  for (std::size_t at = 0; at < all.size(); at += 48)  // one tick row a time
+    chunked.add(all.subspan(at, std::min<std::size_t>(48, all.size() - at)));
+  chunked.add({});  // an empty chunk leaves the hash alone
+  EXPECT_EQ(chunked.value(), serve::verdict_stream_hash(r.verdicts));
+  EXPECT_EQ(chunked.value(), r.counters.verdict_hash);
+}
+
+// Serving memory is O(hosts): verdicts pass through a ring of tick rows
+// (one row inline, queue_capacity + 2 with queued workers) that a 120-tick
+// run wraps 12 to 120 times. The streamed hash must not see the ring: it
+// is the same at every worker count and queue depth, equals the hash of
+// the recorded stream, and does not depend on recording.
+TEST(ServeFleet, TickRingStreamsTheSameHashAtEveryDepth) {
+  static const serve::FleetSetup fleet = synthetic_fleet(48, 120);
+  EXPECT_FALSE(serve::ServeConfig{}.record_verdicts);  // recording is opt-in
+  const auto ref = serve::run_fleet(fleet, base_config());
+  ASSERT_EQ(ref.verdicts.size(), 48u * 120u);
+  EXPECT_EQ(serve::verdict_stream_hash(ref.verdicts),
+            ref.counters.verdict_hash);
+  for (const unsigned threads : {1U, 2U, 3U, 4U}) {
+    for (const std::size_t depth : {1U, 8U}) {
+      for (const bool record : {true, false}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads, queue "
+                                        << depth << ", record " << record);
+        serve::ServeConfig cfg = base_config();
+        cfg.threads = threads;
+        cfg.queue_capacity = depth;
+        cfg.record_verdicts = record;
+        const auto r = serve::run_fleet(fleet, cfg);
+        expect_same_counters(ref.counters, r.counters);
+        if (record)
+          expect_same_verdicts(ref.verdicts, r.verdicts);
+        else
+          EXPECT_TRUE(r.verdicts.empty());
+        // Every batch's stage times are folded exactly once.
+        EXPECT_EQ(r.timing.e2e.count(), r.counters.batches);
+      }
+    }
+  }
 }
 
 TEST(ServeFleet, MalwareHostsAlarmAndBenignHostsStayQuiet) {
