@@ -24,7 +24,7 @@
 // values at a fixed --seed: per-row searches stream their randomness from
 // the row index, and cells evaluate as independent pure functions.
 //
-// Flags (beyond the shared --quick/--seed/--threads/--backend set):
+// Flags (beyond the shared --quick/--seed/--threads set):
 //   --out P    JSON output path (default BENCH_adversarial.json)
 #include <cstdio>
 #include <cstring>
@@ -86,7 +86,7 @@ BenchCell evaluate_cell(const core::ExperimentContext& ctx,
       attack_seed ^ 0x7261696eULL, 1);
   out.retrain_clean = attack::metrics_of(
       projected.test,
-      ml::make_active_backend(*retrained)->predict_proba_batch(
+      ml::make_backend(*retrained)->predict_proba_batch(
           projected.test));
   out.retrain_transfer = attack::metrics_of(
       projected.test,

@@ -16,11 +16,6 @@
 //                capture is bit-identical to an uninterrupted run; a config
 //                fingerprint mismatch (seed, faults, events, protocol, ...)
 //                is a hard error.
-//   --backend B  inference backend for grid evaluation: flat (default,
-//                batched branch-free engine) | scalar (reference row walk).
-//                Backends are bit-identical, so all emitted tables/figures
-//                are byte-identical across this flag (ci.sh diffs them) —
-//                it only changes evaluation speed.
 //
 // Serving benches (bench/serve) additionally share, via serve_args:
 //   --hosts N        fleet size (hosts monitored concurrently)
@@ -39,6 +34,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,7 +75,7 @@ inline core::ExperimentConfig quick_config() {
 /// "--quick" takes none. These are the ones config_from_args parses ...
 inline constexpr std::string_view kExperimentFlags[] = {
     "--quick",        "--seed N",         "--threads N", "--faults P",
-    "--fault-seed N", "--checkpoint DIR", "--resume",    "--backend B"};
+    "--fault-seed N", "--checkpoint DIR", "--resume"};
 /// ... and these the ones serve_args parses.
 inline constexpr std::string_view kServeFlags[] = {"--hosts N",
                                                    "--duration-ms N",
@@ -166,6 +162,24 @@ inline std::uint64_t parse_u64_flag(const char* flag, const char* text) {
   return value;
 }
 
+/// Strict parse for budget- and rate-style flags: the whole value must be a
+/// finite, non-negative number. strtod's permissive parsing ("abc" -> 0)
+/// would turn a typo into 0, which for a budget means "disabled": a hard
+/// gate silently switched off. Report and exit 2 instead.
+inline double parse_budget_flag(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr, "invalid value '%s' for %s (want a finite "
+                         "non-negative number)\n",
+                 text, flag);
+    std::exit(2);
+  }
+  return value;
+}
+
 inline core::ExperimentConfig config_from_args(int argc, char** argv) {
   // Parse every flag into locals first; the base config (standard vs
   // --quick) is chosen afterwards. Applying --quick in the parse loop used
@@ -211,16 +225,6 @@ inline core::ExperimentConfig config_from_args(int argc, char** argv) {
                                   flag_value("--fault-seed", argc, argv, i));
     if (std::strcmp(argv[i], "--checkpoint") == 0)
       checkpoint_dir = flag_value("--checkpoint", argc, argv, i);
-    if (std::strcmp(argv[i], "--backend") == 0) {
-      const char* value = flag_value("--backend", argc, argv, i);
-      const auto parsed = ml::backend_kind_from_name(value);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "unknown --backend '%s' (want scalar|flat)\n", value);
-        std::exit(2);
-      }
-      ml::set_infer_backend_kind(*parsed);
-    }
   }
   if (resume && checkpoint_dir.empty()) {
     std::fprintf(stderr, "--resume requires --checkpoint DIR\n");
@@ -241,17 +245,14 @@ inline core::ExperimentConfig config_from_args(int argc, char** argv) {
 inline core::ExperimentContext prepare(const core::ExperimentConfig& cfg,
                                        const char* what,
                                        long long* capture_ms_out = nullptr) {
-  // One banner line carries the whole execution shape: thread count and
-  // the inference backend actually in effect (flag or HMD_INFER_BACKEND).
+  // One banner line carries the whole execution shape.
   std::fprintf(stderr,
                "[%s] capturing corpus (%u benign + %u malware variants per "
                "template, %u intervals, multi-run 4-counter PMU, %zu "
-               "threads, %s inference backend, faults: %s)...\n",
+               "threads, faults: %s)...\n",
                what, cfg.corpus.benign_per_template,
                cfg.corpus.malware_per_template, cfg.corpus.intervals_per_app,
                support::resolve_threads(cfg.threads),
-               std::string(ml::backend_kind_name(ml::infer_backend_kind()))
-                   .c_str(),
                hpc::describe_faults(cfg.capture.faults).c_str());
   if (!cfg.capture.checkpoint_dir.empty()) {
     std::fprintf(stderr, "[%s] checkpoint: %s (%s campaign)\n", what,

@@ -25,7 +25,7 @@
 // or the swap never lands — detection and refresh are the contract, not
 // best-effort.
 //
-// Flags (beyond the shared --quick/--seed/--threads/--backend set):
+// Flags (beyond the shared --quick/--seed/--threads set):
 //   --hosts N           fleet size          (default 600; 160 in --quick)
 //   --duration-ms N     virtual run length  (default 3000; 2000 in --quick)
 //   --out P             JSON output path    (default BENCH_drift.json)
@@ -224,9 +224,8 @@ int main(int argc, char** argv) {
                "  \"campaign_hosts\": %llu,\n"
                "  \"malware_hosts\": %llu,\n",
                support::resolve_threads(exp.threads),
-               std::string(ml::backend_kind_name(ml::infer_backend_kind()))
-                   .c_str(),
-               fc.hosts, fc.ticks, setup_ms, onset,
+               std::string(fleet.backend->name()).c_str(), fc.hosts,
+               fc.ticks, setup_ms, onset,
                static_cast<unsigned long long>(c.campaign_hosts),
                static_cast<unsigned long long>(c.malware_hosts));
   std::fprintf(

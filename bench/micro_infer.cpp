@@ -29,7 +29,7 @@
 // time leaves out the time the thread was not running, and the quartiles
 // show how far one cell's figure can be trusted.
 //
-// Flags (beyond the shared --quick/--seed/--threads/--backend set):
+// Flags (beyond the shared --quick/--seed/--threads set):
 //   --reps N   timed passes per backend, N >= 1 (default 9; 3 in --quick)
 //   --hpcs N   feature-projection width to score at, N >= 1 (default 8)
 //   --out P    JSON output path (default BENCH_infer.json)

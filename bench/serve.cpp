@@ -21,7 +21,7 @@
 // section is bit-identical across --threads values (the ci.sh serve leg
 // byte-diffs the verdict dumps of a 1-thread and a 4-thread run).
 //
-// Flags (beyond the shared --quick/--seed/--threads/--backend set):
+// Flags (beyond the shared --quick/--seed/--threads set):
 //   --hosts N        fleet size            (default 2000; 256 in --quick)
 //   --duration-ms N  virtual run length    (default 3000; 600 in --quick;
 //                    one 10 ms tick per host per interval)
@@ -157,12 +157,10 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "[serve] fleet: %zu hosts x %u ticks (%llu virtual ms), "
-               "%zu worker threads, %s inference backend\n",
+               "%zu worker threads\n",
                fc.hosts, fc.ticks,
                static_cast<unsigned long long>(args.duration_ms),
-               support::resolve_threads(exp.threads),
-               std::string(ml::backend_kind_name(ml::infer_backend_kind()))
-                   .c_str());
+               support::resolve_threads(exp.threads));
 
   const double t0 = now_ms();
   const serve::FleetSetup fleet = serve::make_fleet(fc);
@@ -238,9 +236,8 @@ int main(int argc, char** argv) {
                "  \"batched_speedup\": %.3f,\n"
                "  \"verdicts_match\": %s,\n",
                support::resolve_threads(exp.threads),
-               std::string(ml::backend_kind_name(ml::infer_backend_kind()))
-                   .c_str(),
-               fc.hosts, fc.ticks, setup_ms, speedup,
+               std::string(fleet.backend->name()).c_str(), fc.hosts,
+               fc.ticks, setup_ms, speedup,
                verdicts_match ? "true" : "false");
   print_run(f, "batched", run_batched, ",");
   print_run(f, "unbatched", run_unbatched, ",");

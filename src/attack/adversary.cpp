@@ -36,7 +36,7 @@ std::string describe_budget(const PerturbationBudget& budget) {
 Adversary::Adversary(const ml::Classifier& model, PerturbationBudget budget,
                      EvasionSearchConfig search, std::uint64_t seed)
     : model_(&model),
-      backend_(ml::make_active_backend(model)),
+      backend_(ml::make_backend(model)),
       budget_(budget),
       search_(search),
       seed_(seed) {

@@ -94,7 +94,7 @@ struct EvasionResult {
 class Adversary {
  public:
   /// `model` must be trained and outlive the adversary; scoring goes
-  /// through the process-wide inference backend (ml::make_active_backend).
+  /// through the flat inference backend (ml::make_backend).
   Adversary(const ml::Classifier& model, PerturbationBudget budget,
             EvasionSearchConfig search = {}, std::uint64_t seed = 0xADE5A17ULL);
 

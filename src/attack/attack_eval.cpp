@@ -18,7 +18,7 @@ DatasetAttackResult attack_dataset(const ml::Classifier& model,
   DatasetAttackResult out;
   out.num_features = nf;
 
-  const auto backend = ml::make_active_backend(model);
+  const auto backend = ml::make_backend(model);
   out.clean_scores = backend->predict_proba_batch(data);
   out.attacked_scores = out.clean_scores;
 
@@ -56,7 +56,7 @@ std::vector<double> transfer_scores(const ml::Classifier& model,
                                     const ml::Dataset& data,
                                     const DatasetAttackResult& attack) {
   HMD_REQUIRE(attack.num_features == data.num_features());
-  const auto backend = ml::make_active_backend(model);
+  const auto backend = ml::make_backend(model);
   std::vector<double> scores = backend->predict_proba_batch(data);
   if (!attack.attacked_rows.empty()) {
     std::vector<double> perturbed_scores(attack.attacked_rows.size(), 0.0);

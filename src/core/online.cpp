@@ -70,7 +70,7 @@ OnlineDetector::OnlineDetector(std::shared_ptr<const ml::Classifier> model,
     : model_(std::move(model)), events_(std::move(events)), cfg_(cfg) {
   HMD_REQUIRE(model_ != nullptr);
   HMD_REQUIRE(!events_.empty());
-  backend_ = ml::make_active_backend(*model_);
+  backend_ = ml::make_backend(*model_);
   HMD_REQUIRE(cfg_.alarm_off <= cfg_.alarm_on);
   HMD_REQUIRE(cfg_.suspect_margin >= 0.0);
   held_.assign(events_.size(), 0.0);

@@ -147,8 +147,8 @@ class OnlineDetector {
  private:
   std::shared_ptr<const ml::Classifier> model_;
   /// Inference engine for the per-interval score, built once at
-  /// construction from the process-wide backend selection (bit-identical
-  /// to calling model_->predict_proba directly; see ml/infer.h).
+  /// construction (the flat engine, bit-identical to calling
+  /// model_->predict_proba directly; see ml/infer.h).
   std::unique_ptr<ml::InferenceBackend> backend_;
   std::vector<sim::Event> events_;
   hpc::Pmu pmu_;

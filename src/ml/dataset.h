@@ -28,10 +28,9 @@
 // guarded-build/lock-free-read protocol is annotated for clang's
 // -Wthread-safety analysis (support/thread_safety.h).
 //
-// `HMD_LEGACY_DATASET=1` (or set_dataset_mode) selects the legacy
-// reference path — deep-copy resampling and per-node sorting — kept for one
-// release so bench/micro_ml can measure the columnar speedup against it.
-// Both paths are bit-identical; see DESIGN.md §9 for the tie-break and
+// What every learner trains on these views is pinned bit for bit by the
+// trained-score digests (tie-regime inputs included) and by a stable-sort
+// oracle for the presorted lists; see DESIGN.md §9 for the tie-break and
 // determinism contract.
 #pragma once
 
@@ -46,18 +45,6 @@
 #include "support/thread_safety.h"
 
 namespace hmd::ml {
-
-/// Which data-layer implementation services resampling and split search.
-enum class DatasetMode {
-  kColumnar,  ///< zero-copy views + presorted-feature training (default)
-  kLegacy,    ///< deep-copy resampling + per-node sorts (reference path)
-};
-
-/// Process-wide dataset mode: HMD_LEGACY_DATASET=1 selects kLegacy,
-/// otherwise kColumnar. set_dataset_mode overrides the environment (used by
-/// bench/micro_ml to A/B both paths in one process, and by tests).
-DatasetMode dataset_mode();
-void set_dataset_mode(DatasetMode mode);
 
 namespace detail {
 
@@ -175,9 +162,8 @@ class Dataset {
   /// it) has identity feature numbering.
   Dataset select_features(std::span<const std::size_t> features) const;
 
-  /// New dataset with the given rows (indices may repeat — bootstrap).
-  /// Columnar mode: a zero-copy view sharing this dataset's storage.
-  /// Legacy mode: a deep copy (the pre-columnar reference behaviour).
+  /// New dataset with the given rows (indices may repeat — bootstrap): a
+  /// zero-copy view sharing this dataset's storage.
   Dataset subset(std::span<const std::size_t> rows) const;
 
   /// Bootstrap sample of the same size, drawn uniformly with replacement.

@@ -1,10 +1,8 @@
 #include "ml/infer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 
 #include "ml/adaboost.h"
 #include "ml/bagging.h"
@@ -18,9 +16,6 @@
 namespace hmd::ml {
 
 namespace {
-
-// -1 = unresolved (read HMD_INFER_BACKEND on first use), else the kind.
-std::atomic<int> g_infer_backend{-1};
 
 // ---------------------------------------------------------------------------
 // Scalar reference backend (also the generic fallback behind kFlat).
@@ -672,38 +667,6 @@ bool base_flattenable(const Classifier& model) {
 // ---------------------------------------------------------------------------
 // Public API.
 
-InferBackendKind infer_backend_kind() {
-  int kind = g_infer_backend.load(std::memory_order_relaxed);
-  if (kind < 0) {
-    const char* env = std::getenv("HMD_INFER_BACKEND");
-    const auto parsed = env != nullptr
-                            ? backend_kind_from_name(env)
-                            : std::optional<InferBackendKind>{};
-    kind = static_cast<int>(parsed.value_or(InferBackendKind::kFlat));
-    g_infer_backend.store(kind, std::memory_order_relaxed);
-  }
-  return static_cast<InferBackendKind>(kind);
-}
-
-void set_infer_backend_kind(InferBackendKind kind) {
-  g_infer_backend.store(static_cast<int>(kind), std::memory_order_relaxed);
-}
-
-std::optional<InferBackendKind> backend_kind_from_name(
-    std::string_view name) {
-  if (name == "scalar") return InferBackendKind::kScalar;
-  if (name == "flat") return InferBackendKind::kFlat;
-  return std::nullopt;
-}
-
-std::string_view backend_kind_name(InferBackendKind kind) {
-  switch (kind) {
-    case InferBackendKind::kScalar: return "scalar";
-    case InferBackendKind::kFlat: return "flat";
-  }
-  throw PreconditionError("unknown inference backend kind");
-}
-
 void InferenceBackend::predict_proba_batch(const Dataset& data,
                                            std::span<double> out) const {
   HMD_REQUIRE(out.size() == data.num_rows());
@@ -765,11 +728,6 @@ std::unique_ptr<InferenceBackend> make_backend(const Classifier& model,
     return std::make_unique<ScalarBackend>(model, "generic");
   }
   return std::make_unique<ScalarBackend>(model, "scalar");
-}
-
-std::unique_ptr<InferenceBackend> make_active_backend(
-    const Classifier& model) {
-  return make_backend(model, infer_backend_kind());
 }
 
 }  // namespace hmd::ml

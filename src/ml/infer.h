@@ -25,7 +25,7 @@
 //   generic — the automatic fallback when `flat` is requested for a model
 //             with no flat lowering (BayesNet, MLP, SGD, SMO and ensembles
 //             of them): same batch API, scalar predict_proba inside, so
-//             callers can pin "flat" process-wide without special-casing.
+//             every caller can ask for the default without special-casing.
 //   fixed   — bit-simulation of the HLS Q-format decision function; lives
 //             in src/analysis (analysis::FixedPointBackend) because it is
 //             built from the model IR, and gives the differential lint a
@@ -45,7 +45,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -60,17 +59,6 @@ enum class InferBackendKind {
   kScalar,  ///< reference pointer-walk, one row at a time
   kFlat,    ///< flattened branch-free batch engine (generic fallback)
 };
-
-/// Process-wide backend selection: HMD_INFER_BACKEND=scalar|flat, default
-/// flat. set_infer_backend_kind overrides the environment (bench --backend
-/// flag, tests). Both backends are bit-identical, so this is a performance
-/// switch, never a results switch.
-InferBackendKind infer_backend_kind();
-void set_infer_backend_kind(InferBackendKind kind);
-
-/// Parse a --backend flag value ("scalar" | "flat"); nullopt if unknown.
-std::optional<InferBackendKind> backend_kind_from_name(std::string_view name);
-std::string_view backend_kind_name(InferBackendKind kind);
 
 /// One inference engine for one trained model.
 class InferenceBackend {
@@ -104,15 +92,13 @@ class InferenceBackend {
 /// called first" error still surfaces at predict time.
 bool flat_supported(const Classifier& model);
 
-/// Build an inference backend for a trained model. Requesting kFlat for a
-/// model without a flat lowering returns the generic fallback (same API,
-/// scalar inside) rather than failing, so callers can pin the backend
-/// process-wide. Scalar/generic backends reference `model`; it must
-/// outlive them.
-std::unique_ptr<InferenceBackend> make_backend(const Classifier& model,
-                                               InferBackendKind kind);
-
-/// Backend for the process-wide kind (the grid hot path's one-liner).
-std::unique_ptr<InferenceBackend> make_active_backend(const Classifier& model);
+/// Build an inference backend for a trained model. The default kFlat is
+/// what every scoring path uses; kScalar is the reference the tests and
+/// bench/micro_infer compare it against. Requesting kFlat for a model
+/// without a flat lowering returns the generic fallback (same API, scalar
+/// inside) rather than failing. Scalar/generic backends reference `model`;
+/// it must outlive them.
+std::unique_ptr<InferenceBackend> make_backend(
+    const Classifier& model, InferBackendKind kind = InferBackendKind::kFlat);
 
 }  // namespace hmd::ml

@@ -126,11 +126,10 @@ double auc(std::span<const double> scores, std::span<const int> labels,
 }
 
 std::vector<double> score_dataset(const Classifier& clf, const Dataset& data) {
-  // The grid hot path: build the process-selected inference backend once
-  // for the whole test split and score it as a single batch. Backends are
-  // bit-identical to the scalar walk, so results never depend on the
-  // selection (see ml/infer.h).
-  const auto backend = make_active_backend(clf);
+  // The grid hot path: build the flat inference backend once for the whole
+  // test split and score it as a single batch. It is bit-identical to the
+  // scalar walk (see ml/infer.h).
+  const auto backend = make_backend(clf);
   return backend->predict_proba_batch(data);
 }
 

@@ -358,7 +358,7 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       retrain_thread.join();
       timing.swap_wait_ms = (now_us() - w0) / 1000.0;
       swapped_model = retrain_shared->out.model;
-      swapped_backend = ml::make_active_backend(*swapped_model);
+      swapped_backend = ml::make_backend(*swapped_model);
       current_backend = swapped_backend.get();
       current_epoch = 1;
       model_swaps = 1;

@@ -91,7 +91,7 @@ FleetSetup make_fleet(const FleetConfig& cfg) {
                         fleet.model_seed);
   model->train(fleet.base_train);
   fleet.model = std::move(model);
-  fleet.backend = ml::make_active_backend(*fleet.model);
+  fleet.backend = ml::make_backend(*fleet.model);
 
   // Template bank: one *unseen* variant per behaviour template (the
   // variant index was never instantiated by either training corpus),

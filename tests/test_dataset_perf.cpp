@@ -1,8 +1,9 @@
-// Columnar dataset core: view semantics, presort canonical ordering, and
-// bit-identity of the columnar training path against the legacy row-copy
-// path (HMD_LEGACY_DATASET=1), including across worker-thread counts.
+// Columnar dataset core: view semantics, bootstrap draws, presort
+// canonical ordering against a stable-sort oracle, and grid results
+// invariant to the worker-thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/hmd.h"
@@ -12,41 +13,9 @@
 namespace hmd::ml {
 namespace {
 
-/// Force a dataset mode for one test body; restores the prior mode on exit.
-class ScopedDatasetMode {
- public:
-  explicit ScopedDatasetMode(DatasetMode mode) : prev_(dataset_mode()) {
-    set_dataset_mode(mode);
-  }
-  ~ScopedDatasetMode() { set_dataset_mode(prev_); }
-  ScopedDatasetMode(const ScopedDatasetMode&) = delete;
-  ScopedDatasetMode& operator=(const ScopedDatasetMode&) = delete;
-
- private:
-  DatasetMode prev_;
-};
-
-/// Small dataset with duplicated feature values (ties) and non-unit
-/// weights — the regime where sweep order could diverge between paths.
-Dataset tied_weighted(std::uint64_t seed) {
-  Dataset base = testutil::gaussian_blobs(40, 2, 1, 1.5, seed);
-  std::vector<std::string> names;
-  for (std::size_t f = 0; f < base.num_features(); ++f)
-    names.push_back(base.feature_name(f));
-  Dataset data(std::move(names));
-  Rng rng(seed ^ 0x7157ULL);
-  for (std::size_t i = 0; i < base.num_rows(); ++i) {
-    std::vector<double> row(base.row(i).begin(), base.row(i).end());
-    // Quantise one column hard so many rows tie exactly.
-    row[0] = std::floor(row[0]);
-    const double w = 0.25 + static_cast<double>(rng.below(8)) * 0.25;
-    data.add_row(std::move(row), base.label(i), w, base.group(i));
-  }
-  return data;
-}
+using testutil::tied_weighted;
 
 TEST(DatasetView, SubsetSharesStorageInColumnarMode) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(1);
   const Dataset s = d.subset(std::vector<std::size_t>{5, 5, 2});
   EXPECT_EQ(s.storage_id(), d.storage_id());
@@ -57,16 +26,7 @@ TEST(DatasetView, SubsetSharesStorageInColumnarMode) {
   EXPECT_EQ(s.storage_row(2), 2u);
 }
 
-TEST(DatasetView, SubsetCopiesInLegacyMode) {
-  const ScopedDatasetMode mode(DatasetMode::kLegacy);
-  const Dataset d = tied_weighted(1);
-  const Dataset s = d.subset(std::vector<std::size_t>{5, 5, 2});
-  EXPECT_NE(s.storage_id(), d.storage_id());
-  EXPECT_DOUBLE_EQ(s.row(0)[0], d.row(5)[0]);
-}
-
 TEST(DatasetView, ViewWeightsAreIsolatedFromParent) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(2);
   Dataset s = d.subset(std::vector<std::size_t>{0, 1, 2, 3});
   std::vector<double> w{9.0, 9.0, 9.0, 9.0};
@@ -78,7 +38,6 @@ TEST(DatasetView, ViewWeightsAreIsolatedFromParent) {
 }
 
 TEST(DatasetView, SelectFeaturesMaterialisesIdentityView) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(3);
   const Dataset sub = d.subset(std::vector<std::size_t>{7, 3, 3, 1});
   const Dataset proj = sub.select_features(std::vector<std::size_t>{2, 0});
@@ -90,7 +49,6 @@ TEST(DatasetView, SelectFeaturesMaterialisesIdentityView) {
 }
 
 TEST(DatasetView, AddRowAfterWarmCacheCopiesOnWrite) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   Dataset d = tied_weighted(4);
   const Dataset view = d.subset(std::vector<std::size_t>{0, 1});
   d.warm_presort_cache();
@@ -103,55 +61,73 @@ TEST(DatasetView, AddRowAfterWarmCacheCopiesOnWrite) {
   EXPECT_NE(view.storage_id(), d.storage_id());
 }
 
+/// Both bootstrap modes draw exactly the rows their seeded Rng picks:
+/// uniform indices for bootstrap(), inverse-CDF over the running weight sum
+/// for weighted_bootstrap(); either way the replicate has unit weights.
 TEST(DatasetView, BootstrapDrawsIdenticalRowsInBothModes) {
   const Dataset d = tied_weighted(5);
-  std::vector<std::vector<double>> rows[2];
-  std::vector<double> weights[2];
-  const DatasetMode modes[2] = {DatasetMode::kLegacy, DatasetMode::kColumnar};
-  for (int m = 0; m < 2; ++m) {
-    const ScopedDatasetMode mode(modes[m]);
-    Rng rng(77);
-    const Dataset b = d.bootstrap(rng);
-    Rng wrng(78);
-    const Dataset wb = d.weighted_bootstrap(wrng);
-    for (std::size_t i = 0; i < b.num_rows(); ++i) {
-      rows[m].emplace_back(b.row(i).begin(), b.row(i).end());
-      rows[m].emplace_back(wb.row(i).begin(), wb.row(i).end());
-      weights[m].push_back(b.weight(i));
-      weights[m].push_back(wb.weight(i));
-    }
+  const std::size_t n = d.num_rows();
+
+  Rng rng(77);
+  const Dataset b = d.bootstrap(rng);
+  Rng draw(77);
+  ASSERT_EQ(b.num_rows(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t want = draw.below(n);
+    EXPECT_EQ(b.storage_row(i), d.storage_row(want)) << "row " << i;
+    EXPECT_EQ(b.weight(i), 1.0);
   }
-  EXPECT_EQ(rows[0], rows[1]);
-  EXPECT_EQ(weights[0], weights[1]);
+
+  std::vector<double> cum(n);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) cum[i] = acc += d.weight(i);
+  Rng wrng(78);
+  const Dataset wb = d.weighted_bootstrap(wrng);
+  Rng wdraw(78);
+  ASSERT_EQ(wb.num_rows(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = wdraw.uniform(0.0, acc);
+    const auto want = static_cast<std::size_t>(
+        std::lower_bound(cum.begin(), cum.end(), r) - cum.begin());
+    EXPECT_EQ(wb.storage_row(i), d.storage_row(want)) << "row " << i;
+    EXPECT_EQ(wb.weight(i), 1.0);
+  }
+}
+
+/// The canonical sweep order the presorted lists must reproduce: the node
+/// rows gathered in order, then stable-sorted by value.
+std::vector<SweepItem> stable_sort_oracle(const Dataset& d,
+                                          std::span<const std::size_t> rows,
+                                          std::size_t f) {
+  std::vector<SweepItem> items;
+  for (std::size_t r : rows)
+    items.push_back({d.value(r, f), d.label(r), d.weight(r)});
+  std::stable_sort(items.begin(), items.end(),
+                   [](const SweepItem& a, const SweepItem& b) {
+                     return a.v < b.v;
+                   });
+  return items;
 }
 
 TEST(Presort, ListsMatchStableSortOrderOnTies) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(6);
-  std::vector<std::size_t> rows{11, 3, 19, 3, 7, 0, 25};
-  Presort columnar(d);
-  const Presort::Lists lists = columnar.make_lists(rows);
-  std::vector<SweepItem> fast;
-  columnar.gather(rows, lists, 0, fast);
-
-  // Reference: the legacy gather (stable sort over the node rows).
-  std::vector<SweepItem> slow;
-  {
-    const ScopedDatasetMode legacy(DatasetMode::kLegacy);
-    Presort ref(d);
-    const Presort::Lists none = ref.make_lists(rows);
-    ref.gather(rows, none, 0, slow);
-  }
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].v, slow[i].v);
-    EXPECT_EQ(fast[i].y, slow[i].y);
-    EXPECT_EQ(fast[i].w, slow[i].w);
+  const std::vector<std::size_t> rows{11, 3, 19, 3, 7, 0, 25};
+  Presort presort(d);
+  const Presort::Lists lists = presort.make_lists(rows);
+  for (std::size_t f = 0; f < d.num_features(); ++f) {
+    std::vector<SweepItem> fast;
+    presort.gather(rows, lists, f, fast);
+    const std::vector<SweepItem> slow = stable_sort_oracle(d, rows, f);
+    ASSERT_EQ(fast.size(), slow.size());
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      EXPECT_EQ(fast[i].v, slow[i].v) << "feature " << f << " item " << i;
+      EXPECT_EQ(fast[i].y, slow[i].y) << "feature " << f << " item " << i;
+      EXPECT_EQ(fast[i].w, slow[i].w) << "feature " << f << " item " << i;
+    }
   }
 }
 
 TEST(Presort, SplitAndFilterPreserveSortedOrder) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(7);
   std::vector<std::size_t> rows(d.num_rows());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
@@ -177,34 +153,8 @@ TEST(Presort, SplitAndFilterPreserveSortedOrder) {
   }
 }
 
-/// Every classifier family × ensemble mode must score bit-identically
-/// whether trained through the columnar presort path or the legacy
-/// sort-per-node path — on data with exact ties and non-unit weights.
-TEST(ModePairity, AllDetectorsScoreBitIdenticallyAcrossModes) {
-  const Dataset train = tied_weighted(8);
-  const Dataset test = tied_weighted(9);
-  for (ClassifierKind kind : all_classifier_kinds()) {
-    for (EnsembleKind ensemble : all_ensemble_kinds()) {
-      std::vector<double> scores[2];
-      const DatasetMode modes[2] = {DatasetMode::kLegacy,
-                                    DatasetMode::kColumnar};
-      for (int m = 0; m < 2; ++m) {
-        const ScopedDatasetMode mode(modes[m]);
-        auto detector = make_detector(kind, ensemble, 42);
-        detector->train(train);
-        for (std::size_t i = 0; i < test.num_rows(); ++i)
-          scores[m].push_back(detector->predict_proba(test.row(i)));
-      }
-      EXPECT_EQ(scores[0], scores[1])
-          << classifier_kind_name(kind) << " / "
-          << ensemble_kind_name(ensemble);
-    }
-  }
-}
-
-/// End-to-end grid identity: a small experiment grid evaluated under
-/// legacy and columnar modes, with 1 and 4 worker threads, must produce
-/// byte-identical metrics in all four combinations.
+/// End-to-end grid identity: a small experiment grid evaluated with 1 and
+/// 4 worker threads must produce byte-identical metrics.
 TEST(ModePairity, GridResultsInvariantToModeAndThreads) {
   core::ExperimentConfig cfg;
   cfg.corpus.benign_per_template = 1;
@@ -221,25 +171,20 @@ TEST(ModePairity, GridResultsInvariantToModeAndThreads) {
   };
 
   std::vector<std::vector<double>> outcomes;
-  for (const DatasetMode mode :
-       {DatasetMode::kLegacy, DatasetMode::kColumnar}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const ScopedDatasetMode scoped(mode);
-      // A fresh projection cache per run so each combination rebuilds its
-      // projected datasets under the mode being tested.
-      core::ExperimentContext run = ctx;
-      run.projections = std::make_shared<core::detail::ProjectionCache>();
-      const auto results = core::run_grid(run, cells, threads);
-      std::vector<double> flat;
-      for (const auto& cell : results) {
-        flat.push_back(cell.metrics.accuracy);
-        flat.push_back(cell.metrics.auc);
-      }
-      outcomes.push_back(std::move(flat));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    // A fresh projection cache per run so each rebuilds its projected
+    // datasets on its own worker count.
+    core::ExperimentContext run = ctx;
+    run.projections = std::make_shared<core::detail::ProjectionCache>();
+    const auto results = core::run_grid(run, cells, threads);
+    std::vector<double> flat;
+    for (const auto& cell : results) {
+      flat.push_back(cell.metrics.accuracy);
+      flat.push_back(cell.metrics.auc);
     }
+    outcomes.push_back(std::move(flat));
   }
-  for (std::size_t i = 1; i < outcomes.size(); ++i)
-    EXPECT_EQ(outcomes[0], outcomes[i]) << "combination " << i;
+  EXPECT_EQ(outcomes[0], outcomes[1]);
 }
 
 }  // namespace

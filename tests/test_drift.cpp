@@ -267,7 +267,7 @@ serve::FleetSetup drift_fleet() {
                                ml::EnsembleKind::kBagging, 7);
   clf->train(train);
   f.model = std::move(clf);
-  f.backend = ml::make_active_backend(*f.model);
+  f.backend = ml::make_backend(*f.model);
   f.base_train = std::move(train);  // the refit's cached base split
   f.events = {sim::Event::kCpuCycles, sim::Event::kInstructions,
               sim::Event::kCacheMisses, sim::Event::kBranchMisses};

@@ -17,6 +17,7 @@
 #include "analysis/fixed_backend.h"
 #include "analysis/hls_checker.h"
 #include "analysis/model_ir.h"
+#include "core/experiment.h"
 #include "core/online.h"
 #include "ml/adaboost.h"
 #include "ml/bagging.h"
@@ -76,7 +77,7 @@ TEST_P(InferContract, SingleRowBatchMatchesPredictProba) {
   const auto data = gaussian_blobs(40, 2, 0, 1.2, 5);
   const auto clf = make_detector(GetParam().kind, GetParam().ensemble, 7);
   clf->train(data);
-  const auto backend = make_active_backend(*clf);
+  const auto backend = make_backend(*clf);
   for (std::size_t i = 0; i < 5; ++i) {
     const auto row = data.row(i);
     EXPECT_EQ(backend->predict_proba(row), clf->predict_proba(row));
@@ -87,7 +88,7 @@ TEST_P(InferContract, EmptyBatchIsANoOp) {
   const auto data = gaussian_blobs(40, 2, 0, 1.2, 5);
   const auto clf = make_detector(GetParam().kind, GetParam().ensemble, 7);
   clf->train(data);
-  const auto backend = make_active_backend(*clf);
+  const auto backend = make_backend(*clf);
   std::vector<double> out;
   EXPECT_NO_THROW(backend->predict_proba_batch(
       std::span<const double>{}, data.num_features(), out));
@@ -273,45 +274,50 @@ TEST(Infer, WideRuleModelStaysBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend selection plumbing.
-
-TEST(Infer, KindNamesRoundTrip) {
-  for (InferBackendKind kind :
-       {InferBackendKind::kScalar, InferBackendKind::kFlat}) {
-    const auto parsed = backend_kind_from_name(backend_kind_name(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(backend_kind_from_name("vectorised").has_value());
-  EXPECT_FALSE(backend_kind_from_name("").has_value());
-}
-
-TEST(Infer, ProcessWideSelectionDrivesMakeActiveBackend) {
-  const auto data = gaussian_blobs(30, 2, 0, 1.2, 3);
-  const auto clf = make_detector(ClassifierKind::kJ48,
-                                 EnsembleKind::kGeneral, 7);
-  clf->train(data);
-  const InferBackendKind before = infer_backend_kind();
-  set_infer_backend_kind(InferBackendKind::kScalar);
-  EXPECT_EQ(infer_backend_kind(), InferBackendKind::kScalar);
-  EXPECT_EQ(make_active_backend(*clf)->name(), "scalar");
-  set_infer_backend_kind(InferBackendKind::kFlat);
-  EXPECT_EQ(make_active_backend(*clf)->name(), "flat");
-  set_infer_backend_kind(before);
-}
+// The scoring paths built on make_backend's default.
 
 TEST(Infer, ScoreDatasetIdenticalAcrossBackendKinds) {
   const auto data = gaussian_blobs(50, 3, 1, 1.4, 19);
   const auto clf = make_detector(ClassifierKind::kRepTree,
                                  EnsembleKind::kAdaBoost, 7);
   clf->train(data);
-  const InferBackendKind before = infer_backend_kind();
-  set_infer_backend_kind(InferBackendKind::kScalar);
-  const std::vector<double> a = score_dataset(*clf, data);
-  set_infer_backend_kind(InferBackendKind::kFlat);
-  const std::vector<double> b = score_dataset(*clf, data);
-  set_infer_backend_kind(before);
-  EXPECT_EQ(a, b);
+  ASSERT_EQ(make_backend(*clf)->name(), "flat");
+  const std::vector<double> reference =
+      make_backend(*clf, InferBackendKind::kScalar)->predict_proba_batch(data);
+  EXPECT_EQ(score_dataset(*clf, data), reference);
+}
+
+/// Every cell of the paper grid (8 learners x 3 ensemble modes x
+/// {16,8,4,2} HPCs) on a minimal prepared experiment scores its projected
+/// test split identically through the scalar reference and the flat
+/// engine. The grid benches score through the flat default, so this is
+/// what keeps every emitted table independent of the engine.
+TEST(Infer, FullGridScoresIdenticalOnScalarAndFlat) {
+  core::ExperimentConfig cfg;
+  cfg.corpus.benign_per_template = 1;
+  cfg.corpus.malware_per_template = 1;
+  cfg.corpus.intervals_per_app = 10;
+  cfg.threads = 4;
+  const core::ExperimentContext ctx = core::prepare_experiment(cfg);
+  const std::vector<core::GridCell> cells = core::full_grid();
+  ASSERT_EQ(cells.size(), 96u);
+  const auto scores =
+      core::map_grid(ctx, cells, 0, [&](const core::GridCell& cell) {
+        const Split& split = ctx.projected_split(cell.hpcs);
+        const auto m =
+            make_detector(cell.classifier, cell.ensemble, cfg.model_seed);
+        m->train(split.train);
+        return std::pair{
+            make_backend(*m, InferBackendKind::kScalar)
+                ->predict_proba_batch(split.test),
+            make_backend(*m, InferBackendKind::kFlat)
+                ->predict_proba_batch(split.test)};
+      });
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    EXPECT_EQ(scores[i].first, scores[i].second)
+        << classifier_kind_name(cells[i].classifier) << " x "
+        << ensemble_kind_name(cells[i].ensemble) << " at " << cells[i].hpcs
+        << " HPCs";
 }
 
 }  // namespace
@@ -324,6 +330,9 @@ TEST(Infer, ScoreDatasetIdenticalAcrossBackendKinds) {
 namespace hmd {
 namespace {
 
+/// The online detector scores through the flat engine; replaying the same
+/// application's intervals through the scalar reference and a fresh
+/// OnlineState must reproduce its verdicts exactly.
 TEST(InferOnline, VerdictsIdenticalAcrossBackends) {
   const auto data = testutil::gaussian_blobs(50, 4, 0, 1.4, 41);
   auto trainable = ml::make_detector(ml::ClassifierKind::kJ48,
@@ -333,23 +342,30 @@ TEST(InferOnline, VerdictsIdenticalAcrossBackends) {
   const std::vector<sim::Event> events{
       sim::Event::kBranchInstructions, sim::Event::kBranchMisses,
       sim::Event::kCacheMisses, sim::Event::kInstructions};
+  const auto app = sim::make_malware(0, 3, 77, 8);
 
-  const ml::InferBackendKind before = ml::infer_backend_kind();
-  const auto run = [&](ml::InferBackendKind kind) {
-    ml::set_infer_backend_kind(kind);
-    core::OnlineDetector detector(model, events);
-    const auto app = sim::make_malware(0, 3, 77, 8);
-    return core::monitor_application(app, detector);
-  };
-  const auto flat = run(ml::InferBackendKind::kFlat);
-  const auto scalar = run(ml::InferBackendKind::kScalar);
-  ml::set_infer_backend_kind(before);
+  core::OnlineDetector detector(model, events);
+  const auto flat = core::monitor_application(app, detector);
 
-  ASSERT_EQ(flat.size(), scalar.size());
+  const auto scalar = ml::make_backend(*model, ml::InferBackendKind::kScalar);
+  const core::OnlineConfig cfg;
+  core::OnlineState state;
+  sim::Machine machine;
+  machine.start_run(app, 0);
+  std::vector<core::Verdict> reference;
+  while (machine.running()) {
+    const sim::EventCounts counts = machine.next_interval();
+    std::vector<double> row;
+    for (const sim::Event e : events)
+      row.push_back(static_cast<double>(counts[e]));
+    reference.push_back(state.step_score(cfg, scalar->predict_proba(row)));
+  }
+
+  ASSERT_EQ(flat.size(), reference.size());
   for (std::size_t i = 0; i < flat.size(); ++i) {
-    EXPECT_EQ(flat[i].score, scalar[i].score) << "interval " << i;
-    EXPECT_EQ(flat[i].ewma, scalar[i].ewma) << "interval " << i;
-    EXPECT_EQ(flat[i].alarm, scalar[i].alarm) << "interval " << i;
+    EXPECT_EQ(flat[i].score, reference[i].score) << "interval " << i;
+    EXPECT_EQ(flat[i].ewma, reference[i].ewma) << "interval " << i;
+    EXPECT_EQ(flat[i].alarm, reference[i].alarm) << "interval " << i;
   }
 }
 

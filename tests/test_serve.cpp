@@ -440,7 +440,7 @@ serve::FleetSetup synthetic_fleet(std::size_t hosts, std::uint32_t ticks) {
                                ml::EnsembleKind::kBagging, 7);
   clf->train(testutil::gaussian_blobs(60, 3, 1, 0.8, 11));
   f.model = std::move(clf);
-  f.backend = ml::make_active_backend(*f.model);
+  f.backend = ml::make_backend(*f.model);
   f.events = {sim::Event::kCpuCycles, sim::Event::kInstructions,
               sim::Event::kCacheMisses, sim::Event::kBranchMisses};
   f.num_features = kSynFeatures;

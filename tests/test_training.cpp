@@ -70,47 +70,75 @@ std::uint64_t trained_score_digest(ClassifierKind kind, EnsembleKind ensemble,
 TEST(Ml, TrainedScoreDigestsArePinned) {
   // Overlapping blobs (spread 3 around ±2) so trees, rules and boosting
   // grow real structure: 2 informative and 14 noise columns; the 4-feature
-  // set keeps both informative columns and two noise ones.
+  // set keeps both informative columns and two noise ones. The tied set has
+  // exact value ties and non-unit weights, where the sweep order of the
+  // tree/rule learners decides every split.
   const Dataset train16 = gaussian_blobs(60, 2, 14, 3.0, 2018);
   const Dataset probe16 = gaussian_blobs(25, 2, 14, 3.0, 2019);
   const Dataset train4 = first_features(train16, 4);
   const Dataset probe4 = first_features(probe16, 4);
+  const Dataset train_tied = testutil::tied_weighted(8);
+  const Dataset probe_tied = testutil::tied_weighted(9);
 
-  // [kind][ensemble] -> {16 features, 4 features}
+  // [kind][ensemble] -> {16 features, 4 features, tied}
   constexpr std::uint64_t kPinned[kClassifierKindCount][kEnsembleKindCount]
-                                 [2] = {
+                                 [3] = {
       // BayesNet: General, Boosted, Bagging
-      {{0x6c064b42320719eaULL, 0x6c064b42320719eaULL},
-       {0x2137dd9aec9ad35cULL, 0xb9eaaec9f009f74bULL},
-       {0xe2658efbc0b2afd3ULL, 0x1ca443d830fdd673ULL}},
+      {{0x6c064b42320719eaULL, 0x6c064b42320719eaULL,
+        0xe6f59bb18021f80fULL},
+       {0x2137dd9aec9ad35cULL, 0xb9eaaec9f009f74bULL,
+        0xb87e4689eb2fb16bULL},
+       {0xe2658efbc0b2afd3ULL, 0x1ca443d830fdd673ULL,
+        0x5bc8f54a6e26101aULL}},
       // J48: General, Boosted, Bagging
-      {{0xb664050e57c6d69dULL, 0x3aa315f22bb049a1ULL},
-       {0x81b999fdf2b83754ULL, 0x06490de2360aacf2ULL},
-       {0xa1be9d92166f4d39ULL, 0xc08c76bca2dc8051ULL}},
+      {{0xb664050e57c6d69dULL, 0x3aa315f22bb049a1ULL,
+        0x4debbfda8d341c80ULL},
+       {0x81b999fdf2b83754ULL, 0x06490de2360aacf2ULL,
+        0xb5da5935b4dd69a9ULL},
+       {0xa1be9d92166f4d39ULL, 0xc08c76bca2dc8051ULL,
+        0x54b9e731bef5cd68ULL}},
       // JRip: General, Boosted, Bagging
-      {{0x92e59a881d6ee36eULL, 0xea88e038013c1411ULL},
-       {0xadb9b0afdeac6d39ULL, 0x004b602c80c1b69bULL},
-       {0xafdf60eb40ab08ebULL, 0x43d07c43b150f4d7ULL}},
+      {{0x92e59a881d6ee36eULL, 0xea88e038013c1411ULL,
+        0xacb08b4d369916b9ULL},
+       {0xadb9b0afdeac6d39ULL, 0x004b602c80c1b69bULL,
+        0x82bf338e90235211ULL},
+       {0xafdf60eb40ab08ebULL, 0x43d07c43b150f4d7ULL,
+        0x02b5e3878881ca85ULL}},
       // MLP: General, Boosted, Bagging
-      {{0xaea88fccf2e19949ULL, 0x0ecf5b0132d826acULL},
-       {0x36b76af33123e158ULL, 0x281b329f6525a21bULL},
-       {0x4f90efb25b612435ULL, 0x2ea35ffeb6386693ULL}},
+      {{0xaea88fccf2e19949ULL, 0x0ecf5b0132d826acULL,
+        0x14e6480d8eedf6a2ULL},
+       {0x36b76af33123e158ULL, 0x281b329f6525a21bULL,
+        0xd50b42bf885a6713ULL},
+       {0x4f90efb25b612435ULL, 0x2ea35ffeb6386693ULL,
+        0xa3809df6528c5e0aULL}},
       // OneR: General, Boosted, Bagging
-      {{0x4d08b7b2fc0f52e5ULL, 0x4d08b7b2fc0f52e5ULL},
-       {0x0cb19592055e0861ULL, 0xe8a6902a89246d97ULL},
-       {0xa5925cfda17614d2ULL, 0xa5925cfda17614d2ULL}},
+      {{0x4d08b7b2fc0f52e5ULL, 0x4d08b7b2fc0f52e5ULL,
+        0xe94d56395801ba8eULL},
+       {0x0cb19592055e0861ULL, 0xe8a6902a89246d97ULL,
+        0x8c01571bb017c8beULL},
+       {0xa5925cfda17614d2ULL, 0xa5925cfda17614d2ULL,
+        0x22ffe244d389ef28ULL}},
       // REPTree: General, Boosted, Bagging
-      {{0x010a74ce0574b819ULL, 0x2171f455eb9dfda0ULL},
-       {0xe7305d00825362aaULL, 0x452622bc65b7a1a0ULL},
-       {0x85951be69651ba4bULL, 0x8c61c454e06ba390ULL}},
+      {{0x010a74ce0574b819ULL, 0x2171f455eb9dfda0ULL,
+        0xed889ed2e2f1fed6ULL},
+       {0xe7305d00825362aaULL, 0x452622bc65b7a1a0ULL,
+        0x94dab4cd08f5edf8ULL},
+       {0x85951be69651ba4bULL, 0x8c61c454e06ba390ULL,
+        0x8939efd4531529c4ULL}},
       // SGD: General, Boosted, Bagging
-      {{0xcc180dd5712005f8ULL, 0x64df4718f7c2a818ULL},
-       {0x0fb70f4a7f613435ULL, 0xbe6530bfdbe55040ULL},
-       {0xf96719c2fc96d031ULL, 0xd9701a0c49896efdULL}},
+      {{0xcc180dd5712005f8ULL, 0x64df4718f7c2a818ULL,
+        0xb24e743b1e90c005ULL},
+       {0x0fb70f4a7f613435ULL, 0xbe6530bfdbe55040ULL,
+        0x25e72d8c7383e3c3ULL},
+       {0xf96719c2fc96d031ULL, 0xd9701a0c49896efdULL,
+        0xa73f63d487726cb4ULL}},
       // SMO: General, Boosted, Bagging
-      {{0x11b2cea46bb9f125ULL, 0xdf0ea71d3cde54c5ULL},
-       {0x76504c57e43ebf75ULL, 0x7d0362c1360f4915ULL},
-       {0x1ef7b5ecf3545c48ULL, 0x4180dd0ea47d7cc7ULL}},
+      {{0x11b2cea46bb9f125ULL, 0xdf0ea71d3cde54c5ULL,
+        0xb24e743b1e90c005ULL},
+       {0x76504c57e43ebf75ULL, 0x7d0362c1360f4915ULL,
+        0x15fe38a1e84af556ULL},
+       {0x1ef7b5ecf3545c48ULL, 0x4180dd0ea47d7cc7ULL,
+        0x4c89875650d947e1ULL}},
   };
   for (std::size_t k = 0; k < kClassifierKindCount; ++k)
     for (std::size_t e = 0; e < kEnsembleKindCount; ++e) {
@@ -124,6 +152,11 @@ TEST(Ml, TrainedScoreDigestsArePinned) {
                 kPinned[k][e][1])
           << classifier_kind_name(kind) << " x "
           << ensemble_kind_name(ensemble) << " at 4 features";
+      EXPECT_EQ(
+          trained_score_digest(kind, ensemble, train_tied, probe_tied),
+          kPinned[k][e][2])
+          << classifier_kind_name(kind) << " x "
+          << ensemble_kind_name(ensemble) << " on tied weighted data";
     }
 }
 

@@ -3,6 +3,8 @@
 // golden numbers.
 #pragma once
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "ml/dataset.h"
@@ -32,6 +34,26 @@ inline ml::Dataset gaussian_blobs(std::size_t n_per_class,
         row.push_back(rng.gaussian(0.0, 1.0));
       data.add_row(std::move(row), cls, 1.0, /*group=*/cls * 1000 + i / 8);
     }
+  }
+  return data;
+}
+
+/// Small 3-feature dataset with duplicated feature values (ties) and
+/// non-unit weights: the regime where the sweep order of the tree/rule
+/// learners decides every split, and so where an ordering change shows.
+inline ml::Dataset tied_weighted(std::uint64_t seed) {
+  ml::Dataset base = gaussian_blobs(40, 2, 1, 1.5, seed);
+  std::vector<std::string> names;
+  for (std::size_t f = 0; f < base.num_features(); ++f)
+    names.push_back(base.feature_name(f));
+  ml::Dataset data(std::move(names));
+  Rng rng(seed ^ 0x7157ULL);
+  for (std::size_t i = 0; i < base.num_rows(); ++i) {
+    std::vector<double> row(base.row(i).begin(), base.row(i).end());
+    // Quantise one column hard so many rows tie exactly.
+    row[0] = std::floor(row[0]);
+    const double w = 0.25 + static_cast<double>(rng.below(8)) * 0.25;
+    data.add_row(std::move(row), base.label(i), w, base.group(i));
   }
   return data;
 }

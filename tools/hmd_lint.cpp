@@ -50,12 +50,16 @@
 //        --threads N (workers for capture + grid analysis; default
 //        HMD_THREADS env, else hardware_concurrency — verdicts are
 //        identical for any thread count),
-//        --help (usage).
+//        --help (usage). An unknown flag, or a value that is malformed,
+//        negative or not finite, exits 2 before any work starts.
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/hls_checker.h"
@@ -93,11 +97,12 @@ void print_help() {
       "Trains the full 8 x {General, AdaBoost, Bagging} x {16,8,4,2} grid\n"
       "and lints every cell (structural verification, HLS contract +\n"
       "differential check, optional budgets). Exits 1 if any cell fails or\n"
-      "any hard budget is exceeded.\n"
+      "any hard budget is exceeded; exits 2 on an unknown flag or a\n"
+      "malformed, negative or non-finite flag value.\n"
       "\n"
       "Shared flags (bench_util): --quick, --seed N, --threads N,\n"
       "  --faults none|light|heavy, --fault-seed N, --checkpoint DIR,\n"
-      "  --resume, --backend scalar|flat\n"
+      "  --resume\n"
       "\n"
       "Lint flags:\n"
       "  --fraction-bits B     fixed-point fraction bits (default 8)\n"
@@ -146,6 +151,7 @@ void print_help() {
 }
 
 LintArgs parse_args(int argc, char** argv) {
+  using hmd::benchutil::flag_value;
   LintArgs args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
@@ -153,30 +159,40 @@ LintArgs parse_args(int argc, char** argv) {
       std::exit(0);
     }
   }
+  // An unknown flag, a malformed value or a valued flag sitting last exits
+  // 2: a mistyped budget must never run the lint with that gate disabled.
+  hmd::benchutil::check_args(
+      argc, argv,
+      {"--fraction-bits B", "--max-mismatch R", "--max-quarantine R",
+       "--max-impute R", "--max-train-ms N", "--max-predict-us N",
+       "--max-evasion-rate R", "--max-p99-us N", "--max-shed-rate R",
+       "--max-drift-lag N", "--min-refresh-recovery R"});
   args.config = hmd::benchutil::config_from_args(argc, argv);
+  const std::pair<const char*, double*> budgets[] = {
+      {"--max-mismatch", &args.max_mismatch},
+      {"--max-quarantine", &args.max_quarantine},
+      {"--max-impute", &args.max_impute},
+      {"--max-train-ms", &args.max_train_ms},
+      {"--max-predict-us", &args.max_predict_us},
+      {"--max-evasion-rate", &args.max_evasion},
+      {"--max-p99-us", &args.max_p99_us},
+      {"--max-shed-rate", &args.max_shed_rate},
+      {"--max-drift-lag", &args.max_drift_lag},
+      {"--min-refresh-recovery", &args.min_recovery}};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fraction-bits") == 0 && i + 1 < argc)
-      args.fraction_bits = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
-    if (std::strcmp(argv[i], "--max-mismatch") == 0 && i + 1 < argc)
-      args.max_mismatch = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-quarantine") == 0 && i + 1 < argc)
-      args.max_quarantine = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-impute") == 0 && i + 1 < argc)
-      args.max_impute = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-train-ms") == 0 && i + 1 < argc)
-      args.max_train_ms = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-predict-us") == 0 && i + 1 < argc)
-      args.max_predict_us = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-evasion-rate") == 0 && i + 1 < argc)
-      args.max_evasion = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-p99-us") == 0 && i + 1 < argc)
-      args.max_p99_us = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-shed-rate") == 0 && i + 1 < argc)
-      args.max_shed_rate = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-drift-lag") == 0 && i + 1 < argc)
-      args.max_drift_lag = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--min-refresh-recovery") == 0 && i + 1 < argc)
-      args.min_recovery = std::strtod(argv[i + 1], nullptr);
+    if (std::strcmp(argv[i], "--fraction-bits") == 0) {
+      const std::uint64_t bits = hmd::benchutil::parse_u64_flag(
+          "--fraction-bits", flag_value("--fraction-bits", argc, argv, i));
+      if (bits > 30) {
+        std::fprintf(stderr, "--fraction-bits must be at most 30\n");
+        std::exit(2);
+      }
+      args.fraction_bits = static_cast<int>(bits);
+    }
+    for (const auto& [flag, value] : budgets)
+      if (std::strcmp(argv[i], flag) == 0)
+        *value = hmd::benchutil::parse_budget_flag(
+            flag, flag_value(flag, argc, argv, i));
   }
   return args;
 }
